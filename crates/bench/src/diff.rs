@@ -241,7 +241,7 @@ impl BenchDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bench_document, BenchRecord};
+    use crate::{BenchRecord, Sweep};
 
     fn record(name: &str, pps: f64) -> BenchRecord {
         record_p95(name, pps, 900)
@@ -260,7 +260,12 @@ mod tests {
     }
 
     fn doc(records: &[BenchRecord]) -> Json {
-        bench_document("campaign_throughput", Json::object([]), records)
+        Sweep {
+            bench: "campaign_throughput",
+            workload: Json::object([]),
+            records: records.to_vec(),
+        }
+        .document()
     }
 
     #[test]

@@ -1,27 +1,32 @@
 //! # consent-bench
 //!
-//! The repo's performance harness. Two consumers share this crate:
+//! The harness behind CI's `BENCH_*.json` regression gates
+//! (`cargo run -p consent-bench --release`, `src/main.rs`; see
+//! `BENCHMARKS.md`), plus the criterion paper-table micro-benches under
+//! `benches/`. The end-to-end, paper-scale numbers live in
+//! `perfbench/`.
 //!
-//! * the criterion benches under `benches/` (paper-table micro-benches
-//!   plus `campaign_parallel`, the sequential-vs-parallel throughput
-//!   comparison), and
-//! * the `cargo run -p consent-bench --release` entry point
-//!   (`src/main.rs`), which sweeps the campaign executor across thread
-//!   counts and writes `BENCH_campaign.json` — the repo's recorded perf
-//!   trajectory (see `BENCHMARKS.md`) — plus the checkpoint durability
-//!   sweep ([`CheckpointBench`], `BENCH_checkpoint.json`), the sampler
-//!   overhead sweep ([`ObsBench`], `BENCH_obs.json`), the watchdog
-//!   overhead sweep ([`WatchBench`], `BENCH_watch.json`), and the
-//!   bundle archival sweep ([`BundleBench`], `BENCH_bundle.json`).
+//! Every sweep is a short function over three pieces:
 //!
-//! The JSON schema is deliberately tiny and stable: a document header
-//! ([`bench_document`]) plus one [`BenchRecord`] per swept
-//! configuration, with throughput (pairs/sec) and per-pair latency
-//! quantiles (p50/p95 µs) read from the `campaign.pair` histogram in
-//! `consent-telemetry`. The sweep is also a correctness check: it
-//! asserts that every thread count exports byte-identical
-//! [`CampaignState`] bytes before it
-//! reports a single number.
+//! * a [`Workload`]: world size, toplist length, vantages, days, seed,
+//!   repeats and thread counts. `Workload::build` makes its world and
+//!   toplist once, and the resulting `Fixture` crawls them.
+//! * a `Meter`, the only code in the crate that touches the
+//!   process-global telemetry registry. It holds one process-wide lock
+//!   for the whole sweep, so a concurrent sweep waits instead of
+//!   resetting the registry under a running measurement, and
+//!   `Meter::measure` resets, enables, times, disables and reads the
+//!   registry around one configuration.
+//! * a [`Sweep`], the one document writer: `bench`, `schema`, the
+//!   workload description and one object per [`Row`]. A [`BenchRecord`]
+//!   carries the columns every document shares (throughput, plus p50/p95
+//!   latency from a telemetry histogram); the soak sweep's
+//!   [`SoakRecord`] extends them with its health columns.
+//!
+//! Every sweep is a correctness check too: it asserts that the bytes it
+//! measures (state exports, bundle manifests, replays, recovered
+//! checkpoints) are identical across its configurations before it
+//! records a number.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,1222 +37,891 @@ pub mod soak;
 pub use diff::{
     diff_documents, BenchDiff, DiffRow, DEFAULT_THRESHOLD_P95_PCT, DEFAULT_THRESHOLD_PCT,
 };
-pub use soak::{SoakBench, SoakRecord};
+pub use soak::{soak, SoakRecord, SOAK_CHECKPOINT_EVERY};
 
 use consent_analysis::standard_exports;
 use consent_checkpoint::CheckpointStore;
 use consent_crawler::{
     apply_delta, build_toplist, delta_state_sections, export_db, import_db, pack_campaign_bundle,
-    recover_state, replay_campaign_bundle, resume_campaign_parallel, run_campaign_parallel,
-    state_sections, ArchiveContext, BreakerConfig, CampaignArtifacts, CampaignConfig,
-    CampaignState, DeltaMarks, ExportFn, ParallelOpts, RetryPolicy, SECTION_DB_DELTA,
+    recover_state, replay_campaign_bundle, resume_campaign_parallel, state_sections,
+    ArchiveContext, CampaignArtifacts, CampaignConfig, CampaignRun, CampaignState, DeltaMarks,
+    ExportFn, ParallelOpts, SECTION_DB_DELTA,
 };
 use consent_faultsim::FaultProfile;
 use consent_httpsim::Vantage;
+use consent_telemetry::{HistSummary, Registry, Snapshot};
 use consent_util::{Day, Json, SeedTree};
 use consent_webgraph::{AdoptionConfig, World, WorldConfig};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Version written into the `schema` field of every `BENCH_*.json`.
 pub const BENCH_SCHEMA_VERSION: i64 = 1;
 
-/// One measured configuration of a bench sweep.
+/// Worker threads of the obs and watch sweeps' workload, the same for
+/// every row so only the observer varies.
+pub const OVERHEAD_THREADS: usize = 4;
+
+/// Sampling interval of the `obs/sampler=wall` row: aggressive on
+/// purpose, production would sample far less often.
+pub const WALL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// What a sweep crawls: one synthetic world and toplist, crawled on
+/// each of [`days`](Self::days) from one seed.
+#[derive(Clone, Debug)]
+pub struct Workload {
+    /// Synthetic world size.
+    pub sites: u32,
+    /// Toplist entries to crawl.
+    pub domains: usize,
+    /// Vantage columns (each multiplies the pair count).
+    pub vantages: Vec<Vantage>,
+    /// Campaign days; only the bundle sweep crawls more than the first.
+    pub days: Vec<Day>,
+    /// Root seed for world, toplist, campaign and fault plans.
+    pub seed: u64,
+    /// Timed repetitions per configuration (at least one runs).
+    pub repeats: usize,
+    /// Worker-thread counts. The campaign sweep records one row per
+    /// entry and the bundle sweep checks manifest identity across them;
+    /// the other sweeps crawl at the first.
+    pub threads: Vec<usize>,
+}
+
+impl Default for Workload {
+    /// The campaign sweep's CI-sized workload: 4 000 sites, 600 domains
+    /// × 2 vantages (1 200 pairs), threads 1/2/4/8, 5 repeats. The pair
+    /// count is deliberately large enough that per-pair work dominates
+    /// the worker-pool spawn/merge fixed cost — smaller sweeps measure
+    /// thread overhead, not the executor.
+    fn default() -> Workload {
+        Workload {
+            sites: 4_000,
+            domains: 600,
+            vantages: vec![Vantage::eu_cloud(), Vantage::us_cloud()],
+            days: vec![Day::from_ymd(2020, 5, 15)],
+            seed: 42,
+            repeats: 5,
+            threads: vec![1, 2, 4, 8],
+        }
+    }
+}
+
+impl Workload {
+    /// The checkpoint sweep's workload: a 200-domain × 2-vantage state
+    /// (400 captures, large enough that serialization and CRC work
+    /// dominate the per-call fixed cost), 20 iterations per operation.
+    pub fn checkpoint() -> Workload {
+        Workload {
+            sites: 2_000,
+            domains: 200,
+            repeats: 20,
+            threads: vec![1],
+            ..Workload::default()
+        }
+    }
+
+    /// The bundle sweep's workload: 48 domains × 2 vantages × 2 days
+    /// over an 800-site world — wide enough that the jitter-free capture
+    /// classes appear and dedup materializes — built at 1/2/4 threads
+    /// for the identity precheck.
+    pub fn bundle() -> Workload {
+        Workload {
+            sites: 800,
+            domains: 48,
+            vantages: vec![Vantage::us_cloud(), Vantage::eu_cloud()],
+            days: vec![Day::from_ymd(2020, 5, 15), Day::from_ymd(2020, 5, 16)],
+            threads: vec![1, 2, 4],
+            ..Workload::default()
+        }
+    }
+
+    /// The soak sweep's workload: 120 domains × 2 vantages (240 pairs,
+    /// about 12 checkpoint writes per campaign), 4 threads, 3 campaigns
+    /// per fault rate.
+    pub fn soak() -> Workload {
+        Workload {
+            sites: 2_000,
+            domains: 120,
+            repeats: 3,
+            threads: vec![4],
+            ..Workload::default()
+        }
+    }
+
+    /// `(domain, vantage, day)` pairs one crawl of every day covers.
+    pub fn pairs(&self) -> u64 {
+        (self.domains * self.vantages.len() * self.days.len()) as u64
+    }
+
+    /// Timed repetitions per configuration, at least one.
+    pub fn reps(&self) -> u64 {
+        self.repeats.max(1) as u64
+    }
+
+    /// The thread count of sweeps that crawl at one.
+    fn first_threads(&self) -> usize {
+        self.threads.first().copied().unwrap_or(1)
+    }
+
+    /// Build the world and toplist (and nothing else: no crawl yet).
+    fn build(&self) -> Fixture<'_> {
+        let world = World::new(WorldConfig {
+            n_sites: self.sites,
+            seed: self.seed,
+            adoption: AdoptionConfig::default(),
+        });
+        let root = SeedTree::new(self.seed);
+        let list = build_toplist(&world, self.domains, root.child("toplist"));
+        Fixture {
+            workload: self,
+            world,
+            list,
+            seed: root.child("campaign"),
+            config: CampaignConfig {
+                fault_profile: FaultProfile::none(),
+                ..CampaignConfig::default()
+            },
+        }
+    }
+
+    /// The `workload` object of a document: size, vantages, pairs,
+    /// repeats and seed, followed by the sweep's `extra` keys.
+    fn describe<'a>(&self, extra: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        let vantages = self.vantages.iter().map(|v| Json::str(v.label()));
+        object(
+            [
+                ("n_sites", Json::int(i64::from(self.sites))),
+                ("domains", Json::int(self.domains as i64)),
+                ("vantages", Json::array(vantages)),
+                ("pairs", Json::int(self.pairs() as i64)),
+                ("repeats", Json::int(self.reps() as i64)),
+                ("seed", Json::int(self.seed as i64)),
+            ]
+            .into_iter()
+            .chain(extra),
+        )
+    }
+}
+
+/// A [`Workload`]'s world and toplist, built once and crawled many
+/// times.
+struct Fixture<'w> {
+    workload: &'w Workload,
+    world: World,
+    list: Vec<String>,
+    seed: SeedTree,
+    /// Campaign behavior; the fault profile is `none` unless the sweep
+    /// sets one.
+    config: CampaignConfig,
+}
+
+impl Fixture<'_> {
+    /// Pairs one crawl of every day processes.
+    fn pairs(&self) -> u64 {
+        (self.list.len() * self.workload.vantages.len() * self.workload.days.len()) as u64
+    }
+
+    /// Continue `state` on `day` at `threads` for at most `max` more
+    /// pairs (`None`: to completion).
+    fn resume(
+        &self,
+        day: Day,
+        threads: usize,
+        state: CampaignState,
+        max: Option<u64>,
+    ) -> CampaignRun {
+        let opts = ParallelOpts {
+            threads,
+            config: self.config,
+            max_pairs: max,
+        };
+        resume_campaign_parallel(
+            &self.world,
+            &self.list,
+            day,
+            &self.workload.vantages,
+            self.seed,
+            &opts,
+            state,
+        )
+    }
+
+    /// Crawl every day from scratch at `threads`, asserting each
+    /// campaign completes.
+    fn crawl(&self, threads: usize) -> Vec<CampaignRun> {
+        let runs: Vec<_> = self
+            .workload
+            .days
+            .iter()
+            .map(|&day| self.resume(day, threads, CampaignState::new(), None))
+            .collect();
+        assert!(
+            runs.iter().all(|r| r.complete),
+            "bench campaign did not complete"
+        );
+        runs
+    }
+
+    /// The state after crawling the last day at `threads`.
+    fn state(&self, threads: usize) -> CampaignState {
+        self.crawl(threads)
+            .pop()
+            .expect("a workload has a day")
+            .state
+    }
+
+    /// Sequentially advance `state` on the first day until `upto` pairs
+    /// are done.
+    fn advance(&self, state: CampaignState, upto: u64) -> CampaignState {
+        let more = upto.saturating_sub(state.pairs_done);
+        self.resume(self.workload.days[0], 1, state, Some(more))
+            .state
+    }
+
+    /// Time the workload's repeats of a campaign at `threads`, asserting
+    /// each exports `baseline`; `window` runs after each with the pairs
+    /// done so far (inside the timing, like an observer's cadence would).
+    fn timed_campaigns(
+        &self,
+        p: &mut Probe,
+        threads: usize,
+        baseline: &str,
+        what: &str,
+        mut window: impl FnMut(u64),
+    ) {
+        p.time(|| {
+            for rep in 1..=self.workload.reps() {
+                assert!(
+                    self.state(threads).export() == baseline,
+                    "state export diverged {what} — refusing to record"
+                );
+                window(rep * self.pairs());
+            }
+        })
+    }
+}
+
+/// Exclusive use of the process-global telemetry registry for one
+/// sweep.
+///
+/// Campaigns record into `consent_telemetry::global()` whenever it is
+/// enabled, so two sweeps sharing it would reset and disable it under
+/// each other. A `Meter` holds one process-wide lock for as long as it
+/// lives: a second sweep in the process waits for the first to finish.
+struct Meter {
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl Meter {
+    /// Wait until no other sweep holds the registry, then take it.
+    fn acquire() -> Meter {
+        static LOCK: Mutex<()> = Mutex::new(());
+        // A sweep whose correctness gate panicked poisons the lock; the
+        // next measurement resets the registry, so carry on.
+        let lock = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        Meter { _lock: lock }
+    }
+
+    /// Measure one configuration: reset and enable the registry, run
+    /// `body`, then disable the registry and read what it recorded.
+    /// `body` times its work with [`Probe::time`] (setup outside it is
+    /// not counted) and may attach observers to [`Probe::registry`].
+    fn measure(&self, body: impl FnOnce(&mut Probe)) -> Reading {
+        consent_telemetry::reset();
+        consent_telemetry::enable();
+        let mut probe = Probe {
+            registry: consent_telemetry::global(),
+            elapsed: Duration::ZERO,
+        };
+        body(&mut probe);
+        consent_telemetry::disable();
+        Reading {
+            elapsed_secs: probe.elapsed.as_secs_f64().max(1e-9),
+            snapshot: probe.registry.snapshot(),
+        }
+    }
+}
+
+/// What a [`Meter::measure`] body works with.
+struct Probe {
+    /// The registry being recorded into.
+    registry: &'static Registry,
+    elapsed: Duration,
+}
+
+impl Probe {
+    /// Run `f`, adding its wall time to the measurement.
+    fn time<T>(&mut self, f: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = f();
+        self.elapsed += start.elapsed();
+        out
+    }
+}
+
+/// What one [`Meter::measure`] call recorded.
+struct Reading {
+    /// Wall time spent inside [`Probe::time`], in seconds (never zero).
+    elapsed_secs: f64,
+    /// Every metric in the registry at the end of the measurement.
+    snapshot: Snapshot,
+}
+
+impl Reading {
+    /// Summary of histogram `name` (all zero if nothing was recorded).
+    fn histogram(&self, name: &str) -> HistSummary {
+        self.snapshot
+            .histograms
+            .get(name)
+            .copied()
+            .unwrap_or_default()
+    }
+}
+
+/// The columns every `BENCH_*.json` record has — the ones `diff` reads.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchRecord {
     /// Record name, e.g. `campaign/threads=4`.
     pub name: String,
     /// Worker threads used (1 = the sequential code path).
     pub threads: usize,
-    /// `(domain, vantage)` pairs processed.
+    /// Pairs processed (or covered by the timed operations).
     pub pairs: u64,
-    /// Wall-clock duration of the run in seconds.
+    /// Wall-clock duration of the timed work in seconds.
     pub elapsed_secs: f64,
     /// Throughput: `pairs / elapsed_secs`.
     pub pairs_per_sec: f64,
-    /// Median per-pair latency in microseconds, from the
-    /// `campaign.pair` histogram.
+    /// Median latency in microseconds, from the record's histogram.
     pub p50_us: u64,
-    /// 95th-percentile per-pair latency in microseconds.
+    /// 95th-percentile latency in microseconds.
     pub p95_us: u64,
 }
 
 impl BenchRecord {
-    /// Serialize as one record object of the `BENCH_*.json` schema.
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            ("name".to_string(), Json::str(self.name.clone())),
-            ("threads".to_string(), Json::int(self.threads as i64)),
-            ("pairs".to_string(), Json::int(self.pairs as i64)),
-            ("elapsed_secs".to_string(), Json::Number(self.elapsed_secs)),
-            (
-                "pairs_per_sec".to_string(),
-                Json::Number(self.pairs_per_sec),
-            ),
-            ("p50_us".to_string(), Json::int(self.p50_us as i64)),
-            ("p95_us".to_string(), Json::int(self.p95_us as i64)),
-        ])
-    }
-}
-
-/// Assemble a full `BENCH_*.json` document: `bench` (the sweep name),
-/// `schema` ([`BENCH_SCHEMA_VERSION`]), the caller's `workload`
-/// description, and the `records` array.
-pub fn bench_document(bench: &str, workload: Json, records: &[BenchRecord]) -> Json {
-    Json::object([
-        ("bench".to_string(), Json::str(bench)),
-        ("schema".to_string(), Json::int(BENCH_SCHEMA_VERSION)),
-        ("workload".to_string(), workload),
-        (
-            "records".to_string(),
-            Json::array(records.iter().map(BenchRecord::to_json)),
-        ),
-    ])
-}
-
-/// The campaign throughput sweep: one synthetic world and toplist,
-/// crawled once per entry in [`threads`](CampaignBench::threads).
-#[derive(Clone, Debug)]
-pub struct CampaignBench {
-    /// Synthetic world size.
-    pub n_sites: u32,
-    /// Toplist entries to crawl.
-    pub domains: usize,
-    /// Vantage columns (each multiplies the pair count).
-    pub vantages: Vec<Vantage>,
-    /// Thread counts to sweep, in order.
-    pub threads: Vec<usize>,
-    /// Chaos profile the campaign runs under.
-    pub profile: FaultProfile,
-    /// Human label for the profile (`none`, `mild`, `heavy`) recorded in
-    /// the workload description.
-    pub chaos: String,
-    /// Timed campaign repetitions per thread count (throughput and
-    /// latency aggregate over all of them).
-    pub repeats: usize,
-    /// Root seed for world, toplist, and campaign.
-    pub seed: u64,
-}
-
-impl Default for CampaignBench {
-    /// The CI-sized workload: 4 000 sites, 600 domains × 2 vantages
-    /// (1 200 pairs), threads 1/2/4/8, no chaos. The pair count is
-    /// deliberately large enough that per-pair work dominates the
-    /// worker-pool spawn/merge fixed cost — smaller sweeps measure
-    /// thread overhead, not the executor.
-    fn default() -> CampaignBench {
-        CampaignBench {
-            n_sites: 4_000,
-            domains: 600,
-            vantages: vec![Vantage::eu_cloud(), Vantage::us_cloud()],
-            threads: vec![1, 2, 4, 8],
-            profile: FaultProfile::none(),
-            chaos: "none".to_string(),
-            repeats: 5,
-            seed: 42,
-        }
-    }
-}
-
-impl CampaignBench {
-    /// Total `(domain, vantage)` pairs each swept run processes.
-    pub fn pairs(&self) -> u64 {
-        (self.domains * self.vantages.len()) as u64
-    }
-
-    /// Run the sweep and return one record per thread count.
-    ///
-    /// Uses the **global** telemetry registry: it is reset and enabled
-    /// around every configuration so the `campaign.pair` histogram
-    /// describes exactly one run, then reset and disabled on exit. Do
-    /// not call concurrently with other users of the registry.
-    ///
-    /// Panics if any configuration's `CampaignState` export differs
-    /// from the first one — a bench run that breaks determinism must
-    /// not produce a trajectory point.
-    pub fn run(&self) -> Vec<BenchRecord> {
-        let world = World::new(WorldConfig {
-            n_sites: self.n_sites,
-            seed: self.seed,
-            adoption: AdoptionConfig::default(),
-        });
-        let root = SeedTree::new(self.seed);
-        let list = build_toplist(&world, self.domains, root.child("toplist"));
-        let day = Day::from_ymd(2020, 5, 15);
-        let config = CampaignConfig {
-            fault_profile: self.profile,
-            retry: RetryPolicy::paper(),
-            breaker: BreakerConfig::default(),
-        };
-
-        let repeats = self.repeats.max(1);
-        let campaign_seed = root.child("campaign");
-        let run_once = |threads: usize| {
-            run_campaign_parallel(
-                &world,
-                &list,
-                day,
-                &self.vantages,
-                campaign_seed,
-                &ParallelOpts {
-                    threads,
-                    config,
-                    max_pairs: None,
-                },
-            )
-        };
-        // One untimed warm-up so the first timed configuration does not
-        // additionally pay for allocator growth and cold caches.
-        let warmup = run_once(*self.threads.first().unwrap_or(&1));
-        assert!(warmup.complete, "bench campaign did not complete");
-        let baseline = warmup.state.export();
-
-        let mut records = Vec::with_capacity(self.threads.len());
-        for &threads in &self.threads {
-            consent_telemetry::reset();
-            consent_telemetry::enable();
-            let start = Instant::now();
-            let mut pairs = 0u64;
-            for _ in 0..repeats {
-                let run = run_once(threads);
-                pairs += run.state.pairs_done;
-                assert!(
-                    baseline == run.state.export(),
-                    "CampaignState export diverged at {threads} threads — refusing to record"
-                );
-            }
-            let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-            consent_telemetry::disable();
-            let pair = consent_telemetry::global()
-                .histogram("campaign.pair")
-                .summary();
-
-            records.push(BenchRecord {
-                name: format!("campaign/threads={threads}"),
-                threads,
-                pairs,
-                elapsed_secs: elapsed,
-                pairs_per_sec: pairs as f64 / elapsed,
-                p50_us: pair.p50,
-                p95_us: pair.p95,
-            });
-        }
-        consent_telemetry::reset();
-        records
-    }
-
-    /// The workload object recorded next to the records.
-    pub fn workload(&self) -> Json {
-        Json::object([
-            ("n_sites".to_string(), Json::int(i64::from(self.n_sites))),
-            ("domains".to_string(), Json::int(self.domains as i64)),
-            (
-                "vantages".to_string(),
-                Json::array(self.vantages.iter().map(|v| Json::str(v.label()))),
-            ),
-            ("pairs".to_string(), Json::int(self.pairs() as i64)),
-            ("repeats".to_string(), Json::int(self.repeats.max(1) as i64)),
-            ("chaos".to_string(), Json::str(self.chaos.clone())),
-            ("seed".to_string(), Json::int(self.seed as i64)),
-        ])
-    }
-
-    /// The complete `BENCH_campaign.json` document for `records`.
-    pub fn document(&self, records: &[BenchRecord]) -> Json {
-        bench_document("campaign_throughput", self.workload(), records)
-    }
-}
-
-/// The checkpoint durability sweep: write / open / salvage throughput
-/// of the crash-safe [`CheckpointStore`] over a realistic
-/// [`CampaignState`], written to `BENCH_checkpoint.json`.
-///
-/// Three operations are timed, each over [`repeats`](Self::repeats)
-/// iterations:
-///
-/// * `checkpoint_write` — [`CheckpointStore::save`] of the five-section
-///   state snapshot (serialize + CRC + fsync + rename + prune);
-/// * `checkpoint_open` — [`recover_state`] of an intact store (scan,
-///   CRC validation, state reassembly and import);
-/// * `checkpoint_salvage` — [`recover_state`] of a store whose newest
-///   generation has a flipped byte in the `meta` section: quarantine,
-///   per-section salvage, and meta rebuild from the capture count.
-///   Setup (writing and corrupting the doomed generation) is excluded
-///   from the timing.
-#[derive(Clone, Debug)]
-pub struct CheckpointBench {
-    /// Synthetic world size for the state-building campaign.
-    pub n_sites: u32,
-    /// Toplist entries crawled into the benched state.
-    pub domains: usize,
-    /// Vantage columns of the state-building campaign.
-    pub vantages: Vec<Vantage>,
-    /// Timed iterations per operation.
-    pub repeats: usize,
-    /// Root seed for world, toplist, and campaign.
-    pub seed: u64,
-}
-
-impl Default for CheckpointBench {
-    /// The CI-sized workload: a 200-domain × 2-vantage state (400
-    /// captures — large enough that serialization and CRC work dominate
-    /// the per-call fixed cost), 20 iterations per operation.
-    fn default() -> CheckpointBench {
-        CheckpointBench {
-            n_sites: 2_000,
-            domains: 200,
-            vantages: vec![Vantage::eu_cloud(), Vantage::us_cloud()],
-            repeats: 20,
-            seed: 42,
-        }
-    }
-}
-
-impl CheckpointBench {
-    /// Crawl the synthetic world once and return the state every
-    /// checkpoint operation is measured against.
-    pub fn build_state(&self) -> CampaignState {
-        let world = World::new(WorldConfig {
-            n_sites: self.n_sites,
-            seed: self.seed,
-            adoption: AdoptionConfig::default(),
-        });
-        let root = SeedTree::new(self.seed);
-        let list = build_toplist(&world, self.domains, root.child("toplist"));
-        let run = run_campaign_parallel(
-            &world,
-            &list,
-            Day::from_ymd(2020, 5, 15),
-            &self.vantages,
-            root.child("campaign"),
-            &ParallelOpts {
-                threads: 1,
-                config: CampaignConfig {
-                    fault_profile: FaultProfile::none(),
-                    retry: RetryPolicy::paper(),
-                    breaker: BreakerConfig::default(),
-                },
-                max_pairs: None,
-            },
-        );
-        assert!(run.complete, "checkpoint bench campaign did not complete");
-        run.state
-    }
-
-    fn record(name: &str, pairs: u64, elapsed: Duration, histogram: &str) -> BenchRecord {
-        let h = consent_telemetry::global().histogram(histogram).summary();
-        let elapsed_secs = elapsed.as_secs_f64().max(1e-9);
+    /// `pairs` over `reading`'s elapsed time, with the latency
+    /// quantiles of its `histogram`.
+    fn measured(
+        name: impl Into<String>,
+        threads: usize,
+        pairs: u64,
+        reading: &Reading,
+        histogram: &str,
+    ) -> BenchRecord {
+        let h = reading.histogram(histogram);
         BenchRecord {
-            name: name.to_string(),
-            threads: 1,
+            name: name.into(),
+            threads,
             pairs,
-            elapsed_secs,
-            pairs_per_sec: pairs as f64 / elapsed_secs,
+            elapsed_secs: reading.elapsed_secs,
+            pairs_per_sec: pairs as f64 / reading.elapsed_secs,
             p50_us: h.p50,
             p95_us: h.p95,
         }
     }
+}
 
-    /// Run the sweep and return one record per operation.
-    ///
-    /// Like [`CampaignBench::run`] this uses the **global** telemetry
-    /// registry (reset and enabled around every operation, reset on
-    /// exit — do not call concurrently with other users), and it is a
-    /// correctness check too: it panics if an opened or salvaged state
-    /// does not export byte-identical to the one that was saved.
-    pub fn run(&self) -> Vec<BenchRecord> {
-        let state = self.build_state();
-        let baseline = state.export();
-        let sections = state_sections(&state, "");
-        let pairs = state.pairs_done;
-        let repeats = self.repeats.max(1) as u64;
-        let dir = bench_tmp_dir();
-        let store = CheckpointStore::open(&dir).expect("open checkpoint store");
-        let mut records = Vec::with_capacity(3);
+/// One object of a document's `records` array.
+pub trait Row {
+    /// The shared columns.
+    fn record(&self) -> &BenchRecord;
 
-        consent_telemetry::reset();
-        consent_telemetry::enable();
-        let start = Instant::now();
-        for _ in 0..repeats {
-            store.save(&sections).expect("checkpoint save");
+    /// Columns a sweep adds to the shared ones.
+    fn extra_columns(&self) -> Vec<(&'static str, Json)> {
+        Vec::new()
+    }
+}
+
+impl Row for BenchRecord {
+    fn record(&self) -> &BenchRecord {
+        self
+    }
+}
+
+/// A finished sweep: everything its `BENCH_*.json` document holds.
+#[derive(Clone, Debug)]
+pub struct Sweep<R = BenchRecord> {
+    /// The document's `bench` name, e.g. `campaign_throughput`.
+    pub bench: &'static str,
+    /// The `workload` object: the workload's size, vantages, pairs,
+    /// repeats and seed, plus the sweep's own keys.
+    pub workload: Json,
+    /// One row per measured configuration.
+    pub records: Vec<R>,
+}
+
+impl<R: Row> Sweep<R> {
+    /// The document: `bench`, `schema` ([`BENCH_SCHEMA_VERSION`]),
+    /// `workload` and `records`.
+    pub fn document(&self) -> Json {
+        let records = self.records.iter().map(|row| {
+            let r = row.record();
+            let shared = [
+                ("name", Json::str(r.name.clone())),
+                ("threads", Json::int(r.threads as i64)),
+                ("pairs", Json::int(r.pairs as i64)),
+                ("elapsed_secs", Json::Number(r.elapsed_secs)),
+                ("pairs_per_sec", Json::Number(r.pairs_per_sec)),
+                ("p50_us", Json::int(r.p50_us as i64)),
+                ("p95_us", Json::int(r.p95_us as i64)),
+            ];
+            object(shared.into_iter().chain(row.extra_columns()))
+        });
+        object([
+            ("bench", Json::str(self.bench)),
+            ("schema", Json::int(BENCH_SCHEMA_VERSION)),
+            ("workload", self.workload.clone()),
+            ("records", Json::array(records)),
+        ])
+    }
+}
+
+/// Overhead in percent of every record relative to the `…=off` one:
+/// `(off - on) / off * 100` pairs/sec.
+pub fn overhead_pct(records: &[BenchRecord]) -> Vec<(String, f64)> {
+    let is_off = |r: &&BenchRecord| r.name.ends_with("=off");
+    let Some(off) = records.iter().find(is_off).map(|r| r.pairs_per_sec) else {
+        return Vec::new();
+    };
+    records
+        .iter()
+        .filter(|r| !is_off(r))
+        .map(|r| {
+            (
+                r.name.clone(),
+                (off - r.pairs_per_sec) / off.max(1e-12) * 100.0,
+            )
+        })
+        .collect()
+}
+
+/// `BENCH_campaign.json`: the campaign executor at every thread count of
+/// the workload, under `profile` (recorded as `chaos`). Panics if any
+/// thread count exports different `CampaignState` bytes than the first.
+pub fn campaign(w: &Workload, profile: FaultProfile, chaos: &str) -> Sweep {
+    let meter = Meter::acquire();
+    let mut fixture = w.build();
+    fixture.config.fault_profile = profile;
+    // One untimed warm-up so the first timed configuration does not
+    // additionally pay for allocator growth and cold caches.
+    let baseline = fixture.state(w.first_threads()).export();
+    let records = w
+        .threads
+        .iter()
+        .map(|&threads| {
+            let what = format!("at {threads} threads");
+            let reading =
+                meter.measure(|p| fixture.timed_campaigns(p, threads, &baseline, &what, |_| {}));
+            let name = format!("campaign/threads={threads}");
+            let pairs = fixture.pairs() * w.reps();
+            BenchRecord::measured(name, threads, pairs, &reading, "campaign.pair")
+        })
+        .collect();
+    let workload = w.describe([("chaos", Json::str(chaos))]);
+    Sweep {
+        bench: "campaign_throughput",
+        workload,
+        records,
+    }
+}
+
+/// `BENCH_checkpoint.json`: the store's write / open / salvage
+/// operations, then delta-vs-full cut cost at 10/50/90% progress, over
+/// one crawled state.
+pub fn checkpoint(w: &Workload) -> Sweep {
+    let meter = Meter::acquire();
+    let fixture = w.build();
+    let mut records = checkpoint_ops(&fixture, &meter);
+    records.extend(checkpoint_progress(&fixture, &meter));
+    Sweep {
+        bench: "checkpoint_durability",
+        workload: w.describe([]),
+        records,
+    }
+}
+
+/// Write / open / salvage throughput of the crash-safe
+/// [`CheckpointStore`] over the fixture's crawled state:
+///
+/// * `checkpoint_write` — [`CheckpointStore::save`] of the five-section
+///   snapshot (serialize + CRC + fsync + rename + prune);
+/// * `checkpoint_open` — [`recover_state`] of an intact store;
+/// * `checkpoint_salvage` — [`recover_state`] of a store whose newest
+///   generation has a flipped byte in its `meta` section: quarantine,
+///   per-section salvage and meta rebuild. Writing and corrupting the
+///   doomed generation is not timed.
+///
+/// Panics if an opened or salvaged state does not export the saved
+/// bytes.
+fn checkpoint_ops(fixture: &Fixture<'_>, meter: &Meter) -> Vec<BenchRecord> {
+    let state = fixture.state(fixture.workload.first_threads());
+    let baseline = state.export();
+    let sections = state_sections(&state, "");
+    let reps = fixture.workload.reps();
+    let dir = Scratch::new();
+    let store = CheckpointStore::open(&dir.0).expect("open checkpoint store");
+    let check = |back: CampaignState, what: &str| {
+        assert!(
+            back.export() == baseline,
+            "{what} state diverged from the saved one — refusing to record"
+        );
+    };
+
+    let write = meter.measure(|p| {
+        p.time(|| {
+            for _ in 0..reps {
+                store.save(&sections).expect("checkpoint save");
+            }
+        })
+    });
+    let open = meter.measure(|p| {
+        p.time(|| {
+            for _ in 0..reps {
+                let (back, _, report) = recover_state(&store).expect("recover intact store");
+                assert!(report.is_clean(), "intact store produced salvage actions");
+                check(back, "recovered");
+            }
+        })
+    });
+    let salvage = meter.measure(|p| {
+        for _ in 0..reps {
+            let g = store.save(&sections).expect("checkpoint save");
+            corrupt_meta_byte(&store.path_for(g));
+            let (back, _, report) = p
+                .time(|| recover_state(&store))
+                .expect("salvage corrupt store");
+            assert!(!report.is_clean(), "corrupt generation went unnoticed");
+            check(back, "salvaged");
         }
-        records.push(Self::record(
-            "checkpoint_write",
-            pairs * repeats,
-            start.elapsed(),
+    });
+    let pairs = state.pairs_done * reps;
+    vec![
+        BenchRecord::measured("checkpoint_write", 1, pairs, &write, "checkpoint.write"),
+        BenchRecord::measured("checkpoint_open", 1, pairs, &open, "checkpoint.open"),
+        BenchRecord::measured("checkpoint_salvage", 1, pairs, &salvage, "checkpoint.open"),
+    ]
+}
+
+/// Delta-vs-full cut cost as the campaign grows. At 10/50/90% of the
+/// fixture's pairs two checkpoint writes are timed:
+///
+/// * `checkpoint_full/progress=P` — a full five-section snapshot of the
+///   whole state; its cost grows with the campaign;
+/// * `checkpoint_delta/progress=P` — the delta sections covering only
+///   the last checkpoint interval (10% of the pairs), the exact payload
+///   the durable driver writes under `CheckpointMode::Delta`; its cost
+///   tracks the interval, not the campaign.
+///
+/// The acceptance bar (BENCHMARKS.md): the delta record at 90% stays
+/// within 2× of the one at 10%. Panics unless each progress point's
+/// delta, applied onto the prior snapshot, reproduces the grown store.
+fn checkpoint_progress(fixture: &Fixture<'_>, meter: &Meter) -> Vec<BenchRecord> {
+    let total = fixture.pairs();
+    let interval = (total / 10).max(1);
+    let reps = fixture.workload.reps();
+    let mut records = Vec::with_capacity(6);
+    let mut state = CampaignState::new();
+    for pct in [10u64, 50, 90] {
+        let upto = (total * pct / 100).max(interval);
+        // Advance to the previous cut, mark, then cover one interval.
+        state = fixture.advance(state, upto - interval);
+        let prior_db = export_db(&state.db);
+        let marks = DeltaMarks::capture(&state);
+        state = fixture.advance(state, upto);
+
+        let dir = Scratch::new();
+        let store = CheckpointStore::open(&dir.0).expect("open checkpoint store");
+        let full = meter.measure(|p| {
+            p.time(|| {
+                for _ in 0..reps {
+                    store
+                        .save(&state_sections(&state, ""))
+                        .expect("full checkpoint save");
+                }
+            })
+        });
+        let delta = meter.measure(|p| {
+            p.time(|| {
+                for _ in 0..reps {
+                    let sections = delta_state_sections(&state, &marks, 1, 1, "");
+                    store
+                        .save_with_min_retained(&sections, 1)
+                        .expect("delta checkpoint save");
+                }
+            })
+        });
+        let name = |kind: &str| format!("checkpoint_{kind}/progress={pct}");
+        records.push(BenchRecord::measured(
+            name("full"),
+            1,
+            upto * reps,
+            &full,
+            "checkpoint.write",
+        ));
+        records.push(BenchRecord::measured(
+            name("delta"),
+            1,
+            interval * reps,
+            &delta,
             "checkpoint.write",
         ));
 
-        consent_telemetry::reset();
-        consent_telemetry::enable();
-        let start = Instant::now();
-        for _ in 0..repeats {
-            let (back, _, report) = recover_state(&store).expect("recover intact store");
-            assert!(report.is_clean(), "intact store produced salvage actions");
-            assert!(
-                back.export() == baseline,
-                "recovered state diverged from the saved one — refusing to record"
-            );
-        }
-        records.push(Self::record(
-            "checkpoint_open",
-            pairs * repeats,
-            start.elapsed(),
-            "checkpoint.open",
-        ));
-
-        consent_telemetry::reset();
-        consent_telemetry::enable();
-        let mut salvage_elapsed = Duration::ZERO;
-        for _ in 0..repeats {
-            let g = store.save(&sections).expect("checkpoint save");
-            corrupt_meta_byte(&store.path_for(g));
-            let start = Instant::now();
-            let (back, _, report) = recover_state(&store).expect("salvage corrupt store");
-            salvage_elapsed += start.elapsed();
-            assert!(!report.is_clean(), "corrupt generation went unnoticed");
-            assert!(
-                back.export() == baseline,
-                "salvaged state diverged from the saved one — refusing to record"
-            );
-        }
-        records.push(Self::record(
-            "checkpoint_salvage",
-            pairs * repeats,
-            salvage_elapsed,
-            "checkpoint.open",
-        ));
-
-        consent_telemetry::reset();
-        let _ = std::fs::remove_dir_all(&dir);
-        records
+        // Correctness: the delta applied onto the prior snapshot must
+        // reproduce the grown store exactly.
+        let delta_body = delta_state_sections(&state, &marks, 1, 1, "")
+            .into_iter()
+            .find(|s| s.name == SECTION_DB_DELTA)
+            .expect("delta sections carry a capture-db delta")
+            .body;
+        let mut check = import_db(&prior_db).expect("prior snapshot imports");
+        apply_delta(&mut check, &delta_body).expect("delta applies");
+        assert!(
+            export_db(&check) == export_db(&state.db),
+            "base+delta diverged from the grown store at progress={pct} — refusing to record"
+        );
     }
-
-    /// The delta-vs-full progress sweep: cut cost as the campaign grows.
-    ///
-    /// At each progress point (10/50/90% of the campaign's pairs) the
-    /// campaign is advanced to that cursor, then two checkpoint writes
-    /// are timed over [`repeats`](Self::repeats) iterations each:
-    ///
-    /// * `checkpoint_full/progress=P` — a full five-section snapshot of
-    ///   the whole state ([`CheckpointStore::save`]); its cost grows
-    ///   with the campaign.
-    /// * `checkpoint_delta/progress=P` — the delta sections covering
-    ///   only the last checkpoint interval (10% of the pairs), built by
-    ///   [`delta_state_sections`] — the exact payload the durable
-    ///   driver writes under `CheckpointMode::Delta`; its cost tracks
-    ///   the interval, not the campaign.
-    ///
-    /// The acceptance bar (BENCHMARKS.md): the delta record at 90%
-    /// stays within 2× of the one at 10%, while the full record grows
-    /// roughly linearly. Like the durability sweep this is also a
-    /// correctness check — each progress point's delta is applied onto
-    /// the prior snapshot and must reproduce the grown store's export.
-    pub fn run_progress_sweep(&self) -> Vec<BenchRecord> {
-        let world = World::new(WorldConfig {
-            n_sites: self.n_sites,
-            seed: self.seed,
-            adoption: AdoptionConfig::default(),
-        });
-        let root = SeedTree::new(self.seed);
-        let list = build_toplist(&world, self.domains, root.child("toplist"));
-        let day = Day::from_ymd(2020, 5, 15);
-        let config = CampaignConfig {
-            fault_profile: FaultProfile::none(),
-            retry: RetryPolicy::paper(),
-            breaker: BreakerConfig::default(),
-        };
-        let campaign_seed = root.child("campaign");
-        let vantages = self.vantages.clone();
-        let advance = |state: CampaignState, upto: u64| {
-            let done = state.pairs_done;
-            resume_campaign_parallel(
-                &world,
-                &list,
-                day,
-                &vantages,
-                campaign_seed,
-                &ParallelOpts {
-                    threads: 1,
-                    config,
-                    max_pairs: Some(upto.saturating_sub(done)),
-                },
-                state,
-            )
-            .state
-        };
-        let total = self.pairs();
-        let interval = (total / 10).max(1);
-        let repeats = self.repeats.max(1) as u64;
-        let mut records = Vec::with_capacity(6);
-        let mut state = CampaignState::new();
-        for pct in [10u64, 50, 90] {
-            let upto = (total * pct / 100).max(interval);
-            // Advance to the previous cut, mark, then cover one interval.
-            state = advance(state, upto - interval);
-            let prior_db = export_db(&state.db);
-            let marks = DeltaMarks::capture(&state);
-            state = advance(state, upto);
-
-            let dir = bench_tmp_dir();
-            let store = CheckpointStore::open(&dir).expect("open checkpoint store");
-            consent_telemetry::reset();
-            consent_telemetry::enable();
-            let start = Instant::now();
-            for _ in 0..repeats {
-                store
-                    .save(&state_sections(&state, ""))
-                    .expect("full checkpoint save");
-            }
-            records.push(Self::record(
-                &format!("checkpoint_full/progress={pct}"),
-                upto * repeats,
-                start.elapsed(),
-                "checkpoint.write",
-            ));
-
-            consent_telemetry::reset();
-            consent_telemetry::enable();
-            let start = Instant::now();
-            for _ in 0..repeats {
-                let sections = delta_state_sections(&state, &marks, 1, 1, "");
-                store
-                    .save_with_min_retained(&sections, 1)
-                    .expect("delta checkpoint save");
-            }
-            records.push(Self::record(
-                &format!("checkpoint_delta/progress={pct}"),
-                interval * repeats,
-                start.elapsed(),
-                "checkpoint.write",
-            ));
-
-            // Correctness: the delta applied onto the prior snapshot
-            // must reproduce the grown store exactly.
-            let delta_body = delta_state_sections(&state, &marks, 1, 1, "")
-                .into_iter()
-                .find(|s| s.name == SECTION_DB_DELTA)
-                .expect("delta sections carry a capture-db delta")
-                .body;
-            let mut check = import_db(&prior_db).expect("prior snapshot imports");
-            apply_delta(&mut check, &delta_body).expect("delta applies");
-            assert!(
-                export_db(&check) == export_db(&state.db),
-                "base+delta diverged from the grown store at progress={pct} — refusing to record"
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        consent_telemetry::reset();
-        records
-    }
-
-    /// Total `(domain, vantage)` pairs in the benched state.
-    pub fn pairs(&self) -> u64 {
-        (self.domains * self.vantages.len()) as u64
-    }
-
-    /// The workload object recorded next to the records.
-    pub fn workload(&self) -> Json {
-        Json::object([
-            ("n_sites".to_string(), Json::int(i64::from(self.n_sites))),
-            ("domains".to_string(), Json::int(self.domains as i64)),
-            (
-                "vantages".to_string(),
-                Json::array(self.vantages.iter().map(|v| Json::str(v.label()))),
-            ),
-            ("pairs".to_string(), Json::int(self.pairs() as i64)),
-            ("repeats".to_string(), Json::int(self.repeats.max(1) as i64)),
-            ("seed".to_string(), Json::int(self.seed as i64)),
-        ])
-    }
-
-    /// The complete `BENCH_checkpoint.json` document for `records`.
-    pub fn document(&self, records: &[BenchRecord]) -> Json {
-        bench_document("checkpoint_durability", self.workload(), records)
-    }
+    records
 }
 
-/// The sampler-overhead sweep: the same campaign workload run with the
-/// flight recorder off, in deterministic logical-tick mode, and with
-/// the wall-clock background thread — written to `BENCH_obs.json`.
-///
-/// The acceptance bar (BENCHMARKS.md): sampler on vs off within 2%
-/// pairs/sec on the bench-smoke workload. The sampler's steady-state
-/// cost is one registry snapshot per sample (a read-locked walk of
-/// every metric), so overhead scales with metric count and sample
-/// rate, not with campaign size.
-#[derive(Clone, Debug)]
-pub struct ObsBench {
-    /// Synthetic world size.
-    pub n_sites: u32,
-    /// Toplist entries to crawl.
-    pub domains: usize,
-    /// Vantage columns.
-    pub vantages: Vec<Vantage>,
-    /// Worker threads for every mode (identical so only the sampler
-    /// varies).
-    pub threads: usize,
-    /// Timed campaign repetitions per mode.
-    pub repeats: usize,
-    /// Wall-mode sampling interval.
-    pub interval: Duration,
-    /// Root seed for world, toplist, and campaign.
-    pub seed: u64,
-}
+/// `BENCH_obs.json`: the campaign with the flight recorder off, in
+/// deterministic logical-tick mode, and on its wall-clock thread
+/// (`obs/sampler=off|logical|wall`). The acceptance bar
+/// (BENCHMARKS.md): sampler on vs off within 2% pairs/sec. Panics if a
+/// mode changes the state export or a sampler records nothing.
+pub fn obs(w: &Workload) -> Sweep {
+    use consent_obs::{ObsConfig, SampleMode, Sampler};
 
-impl Default for ObsBench {
-    /// The bench-smoke-sized workload: 600 domains × 2 vantages, 4
-    /// threads, 5 repeats, 25 ms wall sampling (aggressive on purpose —
-    /// production would sample far less often).
-    fn default() -> ObsBench {
-        ObsBench {
-            n_sites: 4_000,
-            domains: 600,
-            vantages: vec![Vantage::eu_cloud(), Vantage::us_cloud()],
-            threads: 4,
-            repeats: 5,
-            interval: Duration::from_millis(25),
-            seed: 42,
-        }
-    }
-}
-
-impl ObsBench {
-    /// Total `(domain, vantage)` pairs each swept run processes.
-    pub fn pairs(&self) -> u64 {
-        (self.domains * self.vantages.len()) as u64
-    }
-
-    /// Run the three modes and return one record each
-    /// (`obs/sampler=off|logical|wall`).
-    ///
-    /// Uses the **global** telemetry registry like the other sweeps
-    /// (reset + enabled per mode, reset on exit; not concurrency-safe),
-    /// and asserts byte-identical state exports across modes —
-    /// observation must not change the observed.
-    pub fn run(&self) -> Vec<BenchRecord> {
-        use consent_obs::{ObsConfig, SampleMode, Sampler};
-
-        let world = World::new(WorldConfig {
-            n_sites: self.n_sites,
-            seed: self.seed,
-            adoption: AdoptionConfig::default(),
-        });
-        let root = SeedTree::new(self.seed);
-        let list = build_toplist(&world, self.domains, root.child("toplist"));
-        let day = Day::from_ymd(2020, 5, 15);
-        let config = CampaignConfig {
-            fault_profile: FaultProfile::none(),
-            retry: RetryPolicy::paper(),
-            breaker: BreakerConfig::default(),
-        };
-        let campaign_seed = root.child("campaign");
-        let repeats = self.repeats.max(1);
-        let run_once = || {
-            run_campaign_parallel(
-                &world,
-                &list,
-                day,
-                &self.vantages,
-                campaign_seed,
-                &ParallelOpts {
-                    threads: self.threads,
-                    config,
-                    max_pairs: None,
-                },
-            )
-        };
-        let warmup = run_once();
-        assert!(warmup.complete, "obs bench campaign did not complete");
-        let baseline = warmup.state.export();
-
-        let mut records = Vec::with_capacity(3);
-        for mode in ["off", "logical", "wall"] {
-            consent_telemetry::reset();
-            consent_telemetry::enable();
-            let sampler = match mode {
-                "logical" => Some(Sampler::attach(
-                    consent_telemetry::global(),
-                    ObsConfig::deterministic(),
-                )),
-                "wall" => Some(Sampler::attach(
-                    consent_telemetry::global(),
-                    ObsConfig {
+    let meter = Meter::acquire();
+    let fixture = w.build();
+    let threads = w.first_threads();
+    let baseline = fixture.state(threads).export();
+    let records = ["off", "logical", "wall"]
+        .into_iter()
+        .map(|mode| {
+            let reading = meter.measure(|p| {
+                let config = match mode {
+                    "logical" => ObsConfig::deterministic(),
+                    _ => ObsConfig {
                         mode: SampleMode::WallClock {
-                            interval: self.interval,
+                            interval: WALL_INTERVAL,
                         },
                         ..ObsConfig::default()
                     },
-                )),
-                _ => None,
-            };
-            let handle = sampler.as_ref().map(|s| s.start());
-            let start = Instant::now();
-            let mut pairs = 0u64;
-            for rep in 0..repeats {
-                let run = run_once();
-                pairs += run.state.pairs_done;
-                assert!(
-                    baseline == run.state.export(),
-                    "state export diverged with sampler={mode} — refusing to record"
-                );
-                // Logical mode samples at chunk boundaries in the
-                // durable driver; here one repeat is the chunk.
-                if let Some(s) = &sampler {
-                    s.tick_at((rep as u64 + 1) * self.pairs());
+                };
+                let sampler = (mode != "off").then(|| Sampler::attach(p.registry, config));
+                let handle = sampler.as_ref().map(Sampler::start);
+                // Logical mode samples at chunk boundaries in the durable
+                // driver; here one repeat is the chunk.
+                let what = format!("with sampler={mode}");
+                fixture.timed_campaigns(p, threads, &baseline, &what, |done| {
+                    sampler.iter().for_each(|s| s.tick_at(done))
+                });
+                if let Some(h) = handle {
+                    h.stop();
                 }
-            }
-            let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-            if let Some(h) = handle {
-                h.stop();
-            }
-            consent_telemetry::disable();
-            let pair = consent_telemetry::global()
-                .histogram("campaign.pair")
-                .summary();
-            if let Some(s) = &sampler {
-                assert!(!s.is_empty(), "sampler={mode} recorded no samples");
-            }
-            records.push(BenchRecord {
-                name: format!("obs/sampler={mode}"),
-                threads: self.threads,
-                pairs,
-                elapsed_secs: elapsed,
-                pairs_per_sec: pairs as f64 / elapsed,
-                p50_us: pair.p50,
-                p95_us: pair.p95,
+                if let Some(s) = &sampler {
+                    assert!(!s.is_empty(), "sampler={mode} recorded no samples");
+                }
             });
-        }
-        consent_telemetry::reset();
-        records
-    }
-
-    /// Sampler overhead in percent relative to the `off` record:
-    /// `(off - on) / off * 100` for each `on` mode.
-    pub fn overhead_pct(records: &[BenchRecord]) -> Vec<(String, f64)> {
-        let Some(off) = records
-            .iter()
-            .find(|r| r.name.ends_with("=off"))
-            .map(|r| r.pairs_per_sec)
-        else {
-            return Vec::new();
-        };
-        records
-            .iter()
-            .filter(|r| !r.name.ends_with("=off"))
-            .map(|r| {
-                (
-                    r.name.clone(),
-                    (off - r.pairs_per_sec) / off.max(1e-12) * 100.0,
-                )
-            })
-            .collect()
-    }
-
-    /// The workload object recorded next to the records.
-    pub fn workload(&self) -> Json {
-        Json::object([
-            ("n_sites".to_string(), Json::int(i64::from(self.n_sites))),
-            ("domains".to_string(), Json::int(self.domains as i64)),
-            (
-                "vantages".to_string(),
-                Json::array(self.vantages.iter().map(|v| Json::str(v.label()))),
-            ),
-            ("pairs".to_string(), Json::int(self.pairs() as i64)),
-            ("threads".to_string(), Json::int(self.threads as i64)),
-            ("repeats".to_string(), Json::int(self.repeats.max(1) as i64)),
-            (
-                "wall_interval_ms".to_string(),
-                Json::int(self.interval.as_millis() as i64),
-            ),
-            ("seed".to_string(), Json::int(self.seed as i64)),
-        ])
-    }
-
-    /// The complete `BENCH_obs.json` document for `records`.
-    pub fn document(&self, records: &[BenchRecord]) -> Json {
-        bench_document("obs_overhead", self.workload(), records)
+            let name = format!("obs/sampler={mode}");
+            let pairs = fixture.pairs() * w.reps();
+            BenchRecord::measured(name, threads, pairs, &reading, "campaign.pair")
+        })
+        .collect();
+    let interval = Json::int(WALL_INTERVAL.as_millis() as i64);
+    let workload = w.describe([
+        ("threads", Json::int(threads as i64)),
+        ("wall_interval_ms", interval),
+    ]);
+    Sweep {
+        bench: "obs_overhead",
+        workload,
+        records,
     }
 }
 
-/// The watchdog-overhead sweep: the same campaign workload run with the
-/// watch rule engine detached vs attached with the default rule set —
-/// written to `BENCH_watch.json`.
-///
-/// The acceptance bar (BENCHMARKS.md): detectors on vs off within 5%
-/// pairs/sec. The watchdog's steady-state cost is one registry snapshot
-/// plus integer detector math per staged window, so — like the sampler —
-/// overhead scales with metric count and window rate, not campaign size.
-#[derive(Clone, Debug)]
-pub struct WatchBench {
-    /// Synthetic world size.
-    pub n_sites: u32,
-    /// Toplist entries to crawl.
-    pub domains: usize,
-    /// Vantage columns.
-    pub vantages: Vec<Vantage>,
-    /// Worker threads for both modes (identical so only the watchdog
-    /// varies).
-    pub threads: usize,
-    /// Timed campaign repetitions per mode (one staged window each).
-    pub repeats: usize,
-    /// Root seed for world, toplist, and campaign.
-    pub seed: u64,
-}
+/// `BENCH_watch.json`: the campaign with the watchdog rule engine
+/// detached and attached with the default rules
+/// (`watch/detectors=off|on`). The acceptance bar (BENCHMARKS.md):
+/// detectors on vs off within 5% pairs/sec. Panics if the watchdog
+/// changes the state export.
+pub fn watch(w: &Workload) -> Sweep {
+    use consent_watch::{rules::WatchConfig, Watch};
 
-impl Default for WatchBench {
-    /// The bench-smoke-sized workload, matching [`ObsBench`] so the two
-    /// sweeps are directly comparable.
-    fn default() -> WatchBench {
-        WatchBench {
-            n_sites: 4_000,
-            domains: 600,
-            vantages: vec![Vantage::eu_cloud(), Vantage::us_cloud()],
-            threads: 4,
-            repeats: 5,
-            seed: 42,
-        }
-    }
-}
-
-impl WatchBench {
-    /// Total `(domain, vantage)` pairs each swept run processes.
-    pub fn pairs(&self) -> u64 {
-        (self.domains * self.vantages.len()) as u64
-    }
-
-    /// Run both modes and return one record each
-    /// (`watch/detectors=off|on`).
-    ///
-    /// Uses the **global** telemetry registry like the other sweeps
-    /// (reset + enabled per mode, reset on exit; not concurrency-safe),
-    /// and asserts byte-identical state exports across modes — the
-    /// watchdog must not change what it watches.
-    pub fn run(&self) -> Vec<BenchRecord> {
-        use consent_watch::Watch;
-
-        let world = World::new(WorldConfig {
-            n_sites: self.n_sites,
-            seed: self.seed,
-            adoption: AdoptionConfig::default(),
-        });
-        let root = SeedTree::new(self.seed);
-        let list = build_toplist(&world, self.domains, root.child("toplist"));
-        let day = Day::from_ymd(2020, 5, 15);
-        let config = CampaignConfig {
-            fault_profile: FaultProfile::none(),
-            retry: RetryPolicy::paper(),
-            breaker: BreakerConfig::default(),
-        };
-        let campaign_seed = root.child("campaign");
-        let repeats = self.repeats.max(1);
-        let run_once = || {
-            run_campaign_parallel(
-                &world,
-                &list,
-                day,
-                &self.vantages,
-                campaign_seed,
-                &ParallelOpts {
-                    threads: self.threads,
-                    config,
-                    max_pairs: None,
-                },
-            )
-        };
-        let warmup = run_once();
-        assert!(warmup.complete, "watch bench campaign did not complete");
-        let baseline = warmup.state.export();
-
-        let mut records = Vec::with_capacity(2);
-        for mode in ["off", "on"] {
-            consent_telemetry::reset();
-            consent_telemetry::enable();
-            let watch = (mode == "on").then(|| {
-                Watch::attach(
-                    consent_telemetry::global(),
-                    consent_watch::rules::WatchConfig::default_rules(),
-                )
-            });
-            let start = Instant::now();
-            let mut pairs = 0u64;
-            for rep in 0..repeats {
-                let run = run_once();
-                pairs += run.state.pairs_done;
-                assert!(
-                    baseline == run.state.export(),
-                    "state export diverged with watch={mode} — refusing to record"
-                );
+    let meter = Meter::acquire();
+    let fixture = w.build();
+    let threads = w.first_threads();
+    let baseline = fixture.state(threads).export();
+    let records = ["off", "on"]
+        .into_iter()
+        .map(|mode| {
+            let reading = meter.measure(|p| {
+                let watch =
+                    (mode == "on").then(|| Watch::attach(p.registry, WatchConfig::default_rules()));
                 // The durable driver stages a window per checkpoint cut;
                 // here one repeat is the window, always committed.
-                if let Some(w) = &watch {
-                    w.stage((rep as u64 + 1) * self.pairs());
-                    w.commit();
-                }
-            }
-            let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-            consent_telemetry::disable();
-            let pair = consent_telemetry::global()
-                .histogram("campaign.pair")
-                .summary();
-            records.push(BenchRecord {
-                name: format!("watch/detectors={mode}"),
-                threads: self.threads,
-                pairs,
-                elapsed_secs: elapsed,
-                pairs_per_sec: pairs as f64 / elapsed,
-                p50_us: pair.p50,
-                p95_us: pair.p95,
+                let what = format!("with watch={mode}");
+                fixture.timed_campaigns(p, threads, &baseline, &what, |done| {
+                    if let Some(w) = &watch {
+                        w.stage(done);
+                        w.commit();
+                    }
+                });
             });
-        }
-        consent_telemetry::reset();
-        records
-    }
-
-    /// Watchdog overhead in percent relative to the `off` record.
-    pub fn overhead_pct(records: &[BenchRecord]) -> Vec<(String, f64)> {
-        ObsBench::overhead_pct(records)
-    }
-
-    /// The workload object recorded next to the records.
-    pub fn workload(&self) -> Json {
-        Json::object([
-            ("n_sites".to_string(), Json::int(i64::from(self.n_sites))),
-            ("domains".to_string(), Json::int(self.domains as i64)),
-            (
-                "vantages".to_string(),
-                Json::array(self.vantages.iter().map(|v| Json::str(v.label()))),
-            ),
-            ("pairs".to_string(), Json::int(self.pairs() as i64)),
-            ("threads".to_string(), Json::int(self.threads as i64)),
-            ("repeats".to_string(), Json::int(self.repeats.max(1) as i64)),
-            ("seed".to_string(), Json::int(self.seed as i64)),
-        ])
-    }
-
-    /// The complete `BENCH_watch.json` document for `records`.
-    pub fn document(&self, records: &[BenchRecord]) -> Json {
-        bench_document("watch_overhead", self.workload(), records)
+            let name = format!("watch/detectors={mode}");
+            let pairs = fixture.pairs() * w.reps();
+            BenchRecord::measured(name, threads, pairs, &reading, "campaign.pair")
+        })
+        .collect();
+    let workload = w.describe([("threads", Json::int(threads as i64))]);
+    Sweep {
+        bench: "watch_overhead",
+        workload,
+        records,
     }
 }
 
-/// The bundle archival sweep: pack / verify / replay throughput of the
-/// content-addressed campaign bundle over a multi-day × multi-vantage
-/// workload — written to `BENCH_bundle.json`.
+/// `BENCH_bundle.json`: pack / verify / replay throughput of the
+/// content-addressed campaign bundle over every day of the workload.
 ///
-/// Three operations are timed, each over [`repeats`](Self::repeats)
-/// iterations:
-///
-/// * `bundle_pack` — [`pack_campaign_bundle`] of the full bundle input
-///   (checkpoint sections, split capture artifacts, analysis exports)
-///   into a fresh directory, including the post-pack fsck;
-/// * `bundle_verify` — [`consent_bundle::verify`] of the packed store
-///   (re-read and CRC-check every blob against the manifest);
+/// * `bundle_pack` — [`pack_campaign_bundle`] (checkpoint sections,
+///   split capture artifacts, analysis exports) into a fresh directory,
+///   including the post-pack fsck;
+/// * `bundle_verify` — [`consent_bundle::verify`] of the packed store;
 /// * `bundle_replay` — [`replay_campaign_bundle`] with the
-///   [`standard_exports`] provider: re-import the state from the bundle,
-///   recompute every analysis document, byte-compare all of them.
+///   [`standard_exports`] provider, byte-comparing every document.
 ///
-/// Like the other sweeps it is a correctness gate first: before any
-/// number is recorded it packs the same campaign built at every entry
-/// of [`threads`](Self::threads) and asserts the serialized manifests
-/// are byte-identical, and it asserts the workload's dedup ratio
-/// exceeds 1.0 — the multi-day × multi-vantage capture classes
-/// (connection failures, 451 blocks, anti-bot interstitials) must
-/// actually collapse into shared blobs.
-#[derive(Clone, Debug)]
-pub struct BundleBench {
-    /// Synthetic world size.
-    pub n_sites: u32,
-    /// Toplist entries crawled into the archived state.
-    pub domains: usize,
-    /// Vantage columns.
-    pub vantages: Vec<Vantage>,
-    /// Campaign days archived together (each adds one result to the
-    /// bundle's `artifacts` section).
-    pub days: Vec<Day>,
-    /// Thread counts the byte-identity precheck builds the campaign at.
-    pub threads: Vec<usize>,
-    /// Timed iterations per operation.
-    pub repeats: usize,
-    /// Root seed for world, toplist, and campaign.
-    pub seed: u64,
-    /// Keep the verify/replay bundle at this path instead of a scratch
-    /// directory (CI inspects the packed `MANIFEST` afterwards); `None`
-    /// packs into temp space and cleans up.
-    pub keep_dir: Option<PathBuf>,
-}
-
-impl Default for BundleBench {
-    /// The CI-sized workload: 48 domains × 2 vantages × 2 days over an
-    /// 800-site world — wide enough that the jitter-free capture
-    /// classes appear and dedup materializes — with the campaign built
-    /// at 1/2/4 threads for the identity precheck.
-    fn default() -> BundleBench {
-        BundleBench {
-            n_sites: 800,
-            domains: 48,
-            vantages: vec![Vantage::us_cloud(), Vantage::eu_cloud()],
-            days: vec![Day::from_ymd(2020, 5, 15), Day::from_ymd(2020, 5, 16)],
-            threads: vec![1, 2, 4],
-            repeats: 5,
-            seed: 42,
-            keep_dir: None,
-        }
-    }
-}
-
-/// The outcome of a [`BundleBench`] sweep: the timed records plus the
-/// dedup accounting measured during the identity precheck (identical
-/// across thread counts by the precheck's own assertion).
-#[derive(Clone, Debug)]
-pub struct BundleSweep {
-    /// One record per operation (`bundle_pack`, `bundle_verify`,
-    /// `bundle_replay`).
-    pub records: Vec<BenchRecord>,
-    /// Manifest dedup ratio (logical / stored bytes); the run already
-    /// asserted it exceeds 1.0.
-    pub dedup_ratio: f64,
-    /// Bytes the bundle represents (sum over references).
-    pub logical_bytes: u64,
-    /// Bytes actually stored after dedup.
-    pub stored_bytes: u64,
-}
-
-impl BundleBench {
-    /// Total `(domain, vantage)` pairs archived across all days.
-    pub fn pairs(&self) -> u64 {
-        (self.domains * self.vantages.len() * self.days.len()) as u64
-    }
-
-    /// Run the sweep and return its records and dedup accounting
-    /// (see [`BundleSweep`]).
-    ///
-    /// Uses the **global** telemetry registry like the other sweeps
-    /// (reset + enabled per operation, reset on exit; not
-    /// concurrency-safe). Panics if manifests diverge across thread
-    /// counts, if the dedup ratio does not exceed 1.0, or if any replay
-    /// is not byte-identical.
-    pub fn run(&self) -> BundleSweep {
-        let world = World::new(WorldConfig {
-            n_sites: self.n_sites,
-            seed: self.seed,
-            adoption: AdoptionConfig::default(),
-        });
-        let root = SeedTree::new(self.seed);
-        let list = build_toplist(&world, self.domains, root.child("toplist"));
-        let config = CampaignConfig {
-            fault_profile: FaultProfile::none(),
-            retry: RetryPolicy::paper(),
-            breaker: BreakerConfig::default(),
+/// Before any number is recorded it packs the campaign crawled at every
+/// thread count and asserts the manifests are byte-identical and the
+/// dedup ratio exceeds 1.0; the ratio and byte counts are recorded under
+/// `workload.dedup`. `keep_dir` keeps the verified bundle there instead
+/// of in a deleted scratch directory.
+pub fn bundle(w: &Workload, keep_dir: Option<&Path>) -> Sweep {
+    let meter = Meter::acquire();
+    let fixture = w.build();
+    let provider: &ExportFn = &standard_exports;
+    let last_day = *w.days.last().expect("a workload has a day");
+    let ctx = ArchiveContext::from_campaign(last_day, &fixture.list, &w.vantages, &fixture.seed);
+    let pack_to = |dir: &Path, runs: &[CampaignRun]| {
+        let artifacts = CampaignArtifacts {
+            results: runs.iter().map(|r| &r.result).collect(),
+            ..CampaignArtifacts::default()
         };
-        let campaign_seed = root.child("campaign");
-        let provider: &ExportFn = &standard_exports;
-        let last_day = *self.days.last().expect("bundle bench needs a day");
+        let state = &runs[runs.len() - 1].state;
+        pack_campaign_bundle(dir, state, &ctx, &artifacts, Some(provider)).expect("bundle pack")
+    };
 
-        let crawl = |threads: usize| {
-            let runs: Vec<_> = self
-                .days
-                .iter()
-                .map(|&day| {
-                    run_campaign_parallel(
-                        &world,
-                        &list,
-                        day,
-                        &self.vantages,
-                        campaign_seed,
-                        &ParallelOpts {
-                            threads,
-                            config,
-                            max_pairs: None,
-                        },
-                    )
-                })
-                .collect();
-            assert!(
-                runs.iter().all(|r| r.complete),
-                "bundle bench campaign did not complete"
-            );
-            runs
-        };
-        let ctx = ArchiveContext::from_campaign(last_day, &list, &self.vantages, &campaign_seed);
-        let pack_to = |dir: &std::path::Path, runs: &[consent_crawler::CampaignRun]| {
-            let artifacts = CampaignArtifacts {
-                results: runs.iter().map(|r| &r.result).collect(),
-                ..CampaignArtifacts::default()
-            };
-            pack_campaign_bundle(
-                dir,
-                &runs[runs.len() - 1].state,
-                &ctx,
-                &artifacts,
-                Some(provider),
-            )
-        };
-
-        // Identity precheck: every thread count's campaign packs to the
-        // exact same manifest (addresses, order, stats — everything).
-        let mut baseline_manifest: Option<String> = None;
-        let mut runs = Vec::new();
-        let mut stats = None;
-        for &threads in &self.threads {
-            let these = crawl(threads.max(1));
-            let dir = bench_tmp_dir();
-            let (report, fsck) = pack_to(&dir, &these).expect("bundle pack");
-            assert!(fsck.clean(), "fresh pack failed fsck: {}", fsck.render());
-            assert!(
-                report.dedup_ratio() > 1.0,
-                "bundle workload produced no dedup — refusing to record: {}",
-                report.summary()
-            );
-            stats = Some(report.manifest.stats);
-            let manifest = report.manifest.serialize();
-            match &baseline_manifest {
-                None => baseline_manifest = Some(manifest),
-                Some(b) => assert!(
-                    *b == manifest,
-                    "bundle manifest diverged at {threads} threads — refusing to record"
-                ),
-            }
-            let _ = std::fs::remove_dir_all(&dir);
-            runs = these;
-        }
-
-        let pairs = self.pairs();
-        let repeats = self.repeats.max(1) as u64;
-        let mut records = Vec::with_capacity(3);
-
-        consent_telemetry::reset();
-        consent_telemetry::enable();
-        let start = Instant::now();
-        for _ in 0..repeats {
-            let dir = bench_tmp_dir();
-            pack_to(&dir, &runs).expect("bundle pack");
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        records.push(CheckpointBench::record(
-            "bundle_pack",
-            pairs * repeats,
-            start.elapsed(),
-            "bundle.pack",
-        ));
-
-        let dir = self.keep_dir.clone().unwrap_or_else(bench_tmp_dir);
-        let (_, fsck) = pack_to(&dir, &runs).expect("bundle pack");
-        assert!(fsck.clean(), "{}", fsck.render());
-        let store = consent_bundle::open_chaos_bundle(&dir).expect("open bundle");
-
-        consent_telemetry::reset();
-        consent_telemetry::enable();
-        let start = Instant::now();
-        for _ in 0..repeats {
-            let report = consent_bundle::verify(&store).expect("bundle verify");
-            assert!(
-                report.clean(),
-                "packed bundle failed fsck: {}",
-                report.render()
-            );
-        }
-        records.push(CheckpointBench::record(
-            "bundle_verify",
-            pairs * repeats,
-            start.elapsed(),
-            "bundle.verify",
-        ));
-
-        consent_telemetry::reset();
-        consent_telemetry::enable();
-        let start = Instant::now();
-        for _ in 0..repeats {
-            let replay = replay_campaign_bundle(&dir, Some(provider)).expect("bundle replay");
-            assert!(
-                replay.ok(),
-                "replay diverged — refusing to record: {}",
-                replay.summary()
-            );
-        }
-        records.push(CheckpointBench::record(
-            "bundle_replay",
-            pairs * repeats,
-            start.elapsed(),
-            "bundle.replay",
-        ));
-
-        consent_telemetry::reset();
-        if self.keep_dir.is_none() {
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        let stats = stats.expect("bundle bench needs a thread count");
-        BundleSweep {
-            records,
-            dedup_ratio: stats.dedup_ratio(),
-            logical_bytes: stats.logical_bytes,
-            stored_bytes: stats.stored_bytes,
-        }
-    }
-
-    /// The workload object recorded next to the records.
-    pub fn workload(&self) -> Json {
-        Json::object([
-            ("n_sites".to_string(), Json::int(i64::from(self.n_sites))),
-            ("domains".to_string(), Json::int(self.domains as i64)),
-            (
-                "vantages".to_string(),
-                Json::array(self.vantages.iter().map(|v| Json::str(v.label()))),
-            ),
-            ("days".to_string(), Json::int(self.days.len() as i64)),
-            ("pairs".to_string(), Json::int(self.pairs() as i64)),
-            (
-                "threads".to_string(),
-                Json::array(self.threads.iter().map(|&t| Json::int(t as i64))),
-            ),
-            ("repeats".to_string(), Json::int(self.repeats.max(1) as i64)),
-            ("seed".to_string(), Json::int(self.seed as i64)),
-        ])
-    }
-
-    /// The complete `BENCH_bundle.json` document for a sweep: the
-    /// shared schema plus the measured dedup accounting under
-    /// `workload.dedup` (the acceptance gate `ratio > 1.0` is asserted
-    /// during [`BundleBench::run`] and recorded here for the CI schema
-    /// check).
-    pub fn document(&self, sweep: &BundleSweep) -> Json {
-        let mut workload = match self.workload() {
-            Json::Object(fields) => fields,
-            _ => unreachable!("workload is an object"),
-        };
-        workload.insert(
-            "dedup".to_string(),
-            Json::object([
-                ("ratio".to_string(), Json::Number(sweep.dedup_ratio)),
-                (
-                    "logical_bytes".to_string(),
-                    Json::int(sweep.logical_bytes as i64),
-                ),
-                (
-                    "stored_bytes".to_string(),
-                    Json::int(sweep.stored_bytes as i64),
-                ),
-            ]),
+    // Identity precheck: every thread count's campaign packs to the
+    // exact same manifest (addresses, order, stats — everything).
+    let mut first = None;
+    let mut runs = Vec::new();
+    for &threads in &w.threads {
+        runs = fixture.crawl(threads);
+        let (report, fsck) = pack_to(&Scratch::new().0, &runs);
+        assert!(fsck.clean(), "fresh pack failed fsck: {}", fsck.render());
+        assert!(
+            report.dedup_ratio() > 1.0,
+            "bundle workload produced no dedup — refusing to record: {}",
+            report.summary()
         );
-        bench_document("bundle_archive", Json::Object(workload), &sweep.records)
+        let manifest = report.manifest.serialize();
+        match &first {
+            None => first = Some((manifest, report.manifest.stats)),
+            Some((m, _)) => assert!(
+                *m == manifest,
+                "bundle manifest diverged at {threads} threads — refusing to record"
+            ),
+        }
+    }
+    let (_, stats) = first.expect("the bundle sweep needs a thread count");
+
+    let reps = w.reps();
+    let pack = meter.measure(|p| {
+        p.time(|| {
+            for _ in 0..reps {
+                pack_to(&Scratch::new().0, &runs);
+            }
+        })
+    });
+    let scratch = Scratch::new();
+    let dir = keep_dir.unwrap_or(&scratch.0);
+    let (_, fsck) = pack_to(dir, &runs);
+    assert!(fsck.clean(), "{}", fsck.render());
+    let store = consent_bundle::open_chaos_bundle(dir).expect("open bundle");
+    let verify = meter.measure(|p| {
+        p.time(|| {
+            for _ in 0..reps {
+                let report = consent_bundle::verify(&store).expect("bundle verify");
+                assert!(
+                    report.clean(),
+                    "packed bundle failed fsck: {}",
+                    report.render()
+                );
+            }
+        })
+    });
+    let replay = meter.measure(|p| {
+        p.time(|| {
+            for _ in 0..reps {
+                let replay = replay_campaign_bundle(dir, Some(provider)).expect("bundle replay");
+                assert!(
+                    replay.ok(),
+                    "replay diverged — refusing to record: {}",
+                    replay.summary()
+                );
+            }
+        })
+    });
+
+    let pairs = w.pairs() * reps;
+    let dedup = object([
+        ("ratio", Json::Number(stats.dedup_ratio())),
+        ("logical_bytes", Json::int(stats.logical_bytes as i64)),
+        ("stored_bytes", Json::int(stats.stored_bytes as i64)),
+    ]);
+    let threads = Json::array(w.threads.iter().map(|&t| Json::int(t as i64)));
+    let days = Json::int(w.days.len() as i64);
+    Sweep {
+        bench: "bundle_archive",
+        workload: w.describe([("days", days), ("threads", threads), ("dedup", dedup)]),
+        records: vec![
+            BenchRecord::measured("bundle_pack", 1, pairs, &pack, "bundle.pack"),
+            BenchRecord::measured("bundle_verify", 1, pairs, &verify, "bundle.verify"),
+            BenchRecord::measured("bundle_replay", 1, pairs, &replay, "bundle.replay"),
+        ],
     }
 }
 
-/// A unique scratch directory for one bench run.
-pub(crate) fn bench_tmp_dir() -> PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static N: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "consent-bench-ckpt-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ))
+/// A JSON object from `&str` keys.
+fn object<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+    Json::object(fields.into_iter().map(|(k, v)| (k.to_string(), v)))
+}
+
+/// A fresh scratch directory under the system temp dir, removed (with
+/// everything in it) on drop.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new() -> Scratch {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static N: AtomicU64 = AtomicU64::new(0);
+        let n = N.fetch_add(1, Ordering::Relaxed);
+        let name = format!("consent-bench-{}-{n}", std::process::id());
+        Scratch(std::env::temp_dir().join(name))
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Flip one byte inside the first section body (`meta`) of a checkpoint
 /// file, so that recovery has to quarantine it and rebuild the cursor
 /// from the intact `capture-db` section.
-fn corrupt_meta_byte(path: &std::path::Path) {
+fn corrupt_meta_byte(path: &Path) {
     let mut bytes = std::fs::read(path).expect("read checkpoint");
     let marker = b"#end-header\n";
     let start = bytes
@@ -1263,6 +937,21 @@ fn corrupt_meta_byte(path: &std::path::Path) {
 mod tests {
     use super::*;
 
+    fn small(domains: usize) -> Workload {
+        Workload {
+            sites: 400,
+            domains,
+            vantages: vec![Vantage::eu_cloud()],
+            repeats: 2,
+            threads: vec![1, 2],
+            ..Workload::default()
+        }
+    }
+
+    fn names<R: Row>(records: &[R]) -> Vec<&str> {
+        records.iter().map(|r| r.record().name.as_str()).collect()
+    }
+
     #[test]
     fn record_serializes_every_schema_key() {
         let r = BenchRecord {
@@ -1274,7 +963,13 @@ mod tests {
             p50_us: 900,
             p95_us: 2_400,
         };
-        let json = r.to_json();
+        let sweep = Sweep {
+            bench: "campaign_throughput",
+            workload: object([]),
+            records: vec![r],
+        };
+        let doc = sweep.document();
+        let json = &doc.get("records").and_then(Json::as_array).unwrap()[0];
         for key in [
             "name",
             "threads",
@@ -1295,23 +990,18 @@ mod tests {
 
     #[test]
     fn document_roundtrips_through_the_parser() {
-        let bench = CampaignBench {
-            n_sites: 400,
-            domains: 8,
+        let w = Workload {
             vantages: vec![Vantage::us_cloud()],
-            threads: vec![1, 2],
-            repeats: 2,
-            ..CampaignBench::default()
+            ..small(8)
         };
-        let records = bench.run();
-        assert_eq!(records.len(), 2);
-        for r in &records {
-            assert_eq!(r.pairs, bench.pairs() * 2);
+        let sweep = campaign(&w, FaultProfile::none(), "none");
+        assert_eq!(sweep.records.len(), 2);
+        for r in &sweep.records {
+            assert_eq!(r.pairs, w.pairs() * 2);
             assert!(r.pairs_per_sec > 0.0);
             assert!(r.p50_us <= r.p95_us);
         }
-        let doc = bench.document(&records);
-        let parsed = Json::parse(&doc.to_pretty()).expect("document parses");
+        let parsed = Json::parse(&sweep.document().to_pretty()).expect("document parses");
         assert_eq!(
             parsed.get("bench").and_then(Json::as_str),
             Some("campaign_throughput")
@@ -1329,16 +1019,10 @@ mod tests {
 
     #[test]
     fn progress_sweep_pairs_full_and_delta_records() {
-        let bench = CheckpointBench {
-            n_sites: 400,
-            domains: 20,
-            vantages: vec![Vantage::eu_cloud()],
-            repeats: 2,
-            ..CheckpointBench::default()
-        };
-        let records = bench.run_progress_sweep();
+        let w = small(20);
+        let records = checkpoint_progress(&w.build(), &Meter::acquire());
         assert_eq!(
-            records.iter().map(|r| r.name.as_str()).collect::<Vec<_>>(),
+            names(&records),
             vec![
                 "checkpoint_full/progress=10",
                 "checkpoint_delta/progress=10",
@@ -1365,74 +1049,57 @@ mod tests {
 
     #[test]
     fn bundle_sweep_covers_pack_verify_and_replay() {
-        let bench = BundleBench {
+        let w = Workload {
             threads: vec![1, 2],
             repeats: 2,
-            ..BundleBench::default()
+            ..Workload::bundle()
         };
-        let sweep = bench.run();
+        let sweep = bundle(&w, None);
         assert_eq!(
-            sweep
-                .records
-                .iter()
-                .map(|r| r.name.as_str())
-                .collect::<Vec<_>>(),
+            names(&sweep.records),
             vec!["bundle_pack", "bundle_verify", "bundle_replay"],
         );
         for r in &sweep.records {
-            assert_eq!(r.pairs, bench.pairs() * 2);
+            assert_eq!(r.pairs, w.pairs() * 2);
             assert!(r.pairs_per_sec > 0.0);
             assert!(r.p50_us <= r.p95_us);
         }
-        assert!(sweep.dedup_ratio > 1.0);
-        assert!(sweep.stored_bytes < sweep.logical_bytes);
-        let doc = bench.document(&sweep);
-        let parsed = Json::parse(&doc.to_pretty()).expect("document parses");
+        let parsed = Json::parse(&sweep.document().to_pretty()).expect("document parses");
         assert_eq!(
             parsed.get("bench").and_then(Json::as_str),
             Some("bundle_archive")
         );
-        assert_eq!(
-            parsed
-                .get("workload")
-                .and_then(|w| w.get("days"))
-                .and_then(Json::as_u32),
-            Some(2)
+        let workload = parsed.get("workload").expect("workload");
+        assert_eq!(workload.get("days").and_then(Json::as_u32), Some(2));
+        let dedup = workload.get("dedup").expect("document records dedup");
+        let field = |key: &str| dedup.get(key).and_then(Json::as_f64).unwrap();
+        assert!(
+            field("ratio") > 1.0,
+            "recorded dedup ratio {}",
+            field("ratio")
         );
-        let ratio = parsed
-            .get("workload")
-            .and_then(|w| w.get("dedup"))
-            .and_then(|d| d.get("ratio"))
-            .and_then(Json::as_f64)
-            .expect("document records the dedup ratio");
-        assert!(ratio > 1.0, "recorded dedup ratio {ratio}");
+        assert!(field("stored_bytes") < field("logical_bytes"));
     }
 
     #[test]
     fn checkpoint_sweep_covers_write_open_and_salvage() {
-        let bench = CheckpointBench {
-            n_sites: 400,
-            domains: 8,
-            vantages: vec![Vantage::eu_cloud()],
-            repeats: 2,
-            ..CheckpointBench::default()
-        };
-        let records = bench.run();
+        let w = small(8);
+        let records = checkpoint_ops(&w.build(), &Meter::acquire());
         assert_eq!(
-            records.iter().map(|r| r.name.as_str()).collect::<Vec<_>>(),
+            names(&records),
             vec!["checkpoint_write", "checkpoint_open", "checkpoint_salvage"],
         );
         for r in &records {
-            assert_eq!(r.pairs, bench.pairs() * 2);
+            assert_eq!(r.pairs, w.pairs() * 2);
             assert!(r.pairs_per_sec > 0.0);
             assert!(r.p50_us <= r.p95_us);
         }
-        let doc = bench.document(&records);
-        let parsed = Json::parse(&doc.to_pretty()).expect("document parses");
-        assert_eq!(
-            parsed.get("bench").and_then(Json::as_str),
-            Some("checkpoint_durability")
-        );
+        let sweep = Sweep {
+            bench: "checkpoint_durability",
+            workload: w.describe([]),
+            records,
+        };
+        let parsed = Json::parse(&sweep.document().to_pretty()).expect("document parses");
         assert_eq!(parsed.get("schema").and_then(Json::as_u32), Some(1));
         assert_eq!(
             parsed
@@ -1441,5 +1108,27 @@ mod tests {
                 .and_then(Json::as_u32),
             Some(8)
         );
+    }
+
+    #[test]
+    fn overhead_is_relative_to_the_off_row() {
+        let row = |name: &str, pps: f64| BenchRecord {
+            name: name.into(),
+            threads: 4,
+            pairs: 1,
+            elapsed_secs: 1.0,
+            pairs_per_sec: pps,
+            p50_us: 0,
+            p95_us: 0,
+        };
+        let rows = [
+            row("obs/sampler=off", 200.0),
+            row("obs/sampler=wall", 150.0),
+        ];
+        assert_eq!(
+            overhead_pct(&rows),
+            vec![("obs/sampler=wall".to_string(), 25.0)]
+        );
+        assert!(overhead_pct(&rows[1..]).is_empty());
     }
 }

@@ -1,26 +1,20 @@
 //! The `BENCH_*.json` entry point and trajectory tooling.
 //!
-//! Default invocation sweeps the campaign executor across thread
-//! counts, the checkpoint store across its write / open / salvage
-//! operations plus the delta-vs-full cut cost at 10/50/90% campaign
-//! progress, the flight-recorder sampler across its off / logical /
-//! wall modes, the watchdog rule engine off vs on, and the campaign
-//! bundle across its pack / verify / replay operations, prints human
-//! summaries, and writes the machine-readable trajectory points
-//! (`BENCH_campaign.json`, `BENCH_checkpoint.json`, `BENCH_obs.json`,
-//! `BENCH_watch.json`, `BENCH_bundle.json`). See `BENCHMARKS.md` for
-//! the schema.
-//!
 //! ```text
 //! cargo run -p consent-bench --release
 //! cargo run -p consent-bench --release -- bundle
+//! cargo run -p consent-bench --release -- soak
 //! cargo run -p consent-bench --release -- diff OLD.json NEW.json \
 //!     [--threshold PCT] [--threshold-p95 PCT]
 //! ```
 //!
-//! `bundle` runs only the bundle archival sweep — the CI `bundle` job
-//! uses it so the pack / verify / replay gate doesn't pay for the full
-//! campaign sweep.
+//! The default invocation runs the campaign, checkpoint, obs, watch and
+//! bundle sweeps, prints a table per sweep and writes
+//! `BENCH_campaign.json`, `BENCH_checkpoint.json`, `BENCH_obs.json`,
+//! `BENCH_watch.json` and `BENCH_bundle.json` (schema in
+//! `BENCHMARKS.md`). `bundle` runs only the bundle sweep, so CI's
+//! pack / verify / replay gate doesn't pay for the campaign sweeps;
+//! `soak` runs only the storage-fault soak sweep (`BENCH_soak.json`).
 //!
 //! `diff` compares two trajectory points record-by-record and exits
 //! non-zero when any record's pairs/sec regressed by more than the
@@ -29,55 +23,85 @@
 //! latency on shared runners is noisier). CI uses looser gates still to
 //! absorb shared-runner noise.
 //!
-//! Environment knobs for the sweep (all optional):
+//! Environment knobs (all optional):
 //!
-//! * `BENCH_SITES`   — synthetic world size (default 4000)
-//! * `BENCH_DOMAINS` — toplist entries to crawl (default 600)
-//! * `BENCH_THREADS` — comma-separated sweep, e.g. `1,2,4,8` (default)
-//! * `BENCH_REPEATS` — timed campaigns per thread count (default 5)
-//! * `BENCH_OUT`     — campaign output path (default `BENCH_campaign.json`)
-//! * `BENCH_CHECKPOINT_OUT` — checkpoint output path (default
-//!   `BENCH_checkpoint.json`)
-//! * `BENCH_OBS_OUT` — sampler-overhead output path (default
-//!   `BENCH_obs.json`)
-//! * `BENCH_WATCH_OUT` — watchdog-overhead output path (default
-//!   `BENCH_watch.json`)
-//! * `BENCH_BUNDLE_OUT` — bundle-archival output path (default
-//!   `BENCH_bundle.json`)
+//! * `BENCH_SITES`, `BENCH_DOMAINS` — world size and toplist length of
+//!   the campaign, obs and watch sweeps (default 4000 and 600)
+//! * `BENCH_THREADS` — the campaign sweep's thread counts, e.g. `1,2,4,8`
+//!   (default)
+//! * `BENCH_REPEATS` — timed repeats of the campaign, obs, watch and
+//!   bundle sweeps (default 5)
+//! * `BENCH_OUT`, `BENCH_CHECKPOINT_OUT`, `BENCH_OBS_OUT`,
+//!   `BENCH_WATCH_OUT`, `BENCH_BUNDLE_OUT`, `BENCH_SOAK_OUT` — output
+//!   paths (default `BENCH_campaign.json`, `BENCH_checkpoint.json`, …)
 //! * `BENCH_BUNDLE_DIR` — keep the verify/replay bundle at this path
 //!   instead of a deleted temp dir (CI fscks the kept `MANIFEST`)
-//! * `CONSENT_CHAOS` — chaos profile (`none`/`mild`/`heavy`), as everywhere
+//! * `SOAK_RATES` — the soak sweep's IO-fault rates in per-mille
+//!   (default `0,5,10,50`); `SOAK_REPEATS` — campaigns per rate
+//!   (default 3)
+//! * `CONSENT_CHAOS` — the campaign sweep's chaos profile
+//!   (`none`/`mild`/`heavy`), as everywhere
 
 use consent_bench::{
-    diff_documents, BundleBench, CampaignBench, CheckpointBench, ObsBench, SoakBench, WatchBench,
-    DEFAULT_THRESHOLD_P95_PCT, DEFAULT_THRESHOLD_PCT,
+    diff_documents, overhead_pct, BenchRecord, Row, Sweep, Workload, DEFAULT_THRESHOLD_P95_PCT,
+    DEFAULT_THRESHOLD_PCT, OVERHEAD_THREADS,
 };
 use consent_faultsim::FaultProfile;
 use consent_util::Json;
 use std::env;
+use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
-fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
+fn env_parse<T: FromStr>(key: &str, default: T) -> T {
     env::var(key)
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
 }
 
+/// A comma-separated list; `default` when unset or nothing parses.
+fn env_list<T: FromStr>(key: &str, default: Vec<T>) -> Vec<T> {
+    let list: Vec<T> = env::var(key)
+        .unwrap_or_default()
+        .split(',')
+        .filter_map(|t| t.trim().parse().ok())
+        .collect();
+    if list.is_empty() {
+        default
+    } else {
+        list
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().collect();
-    if args.get(1).map(String::as_str) == Some("diff") {
+    let command = args.get(1).map(String::as_str);
+    if command == Some("diff") {
         return run_diff(&args[2..]);
     }
-    if args.get(1).map(String::as_str) == Some("soak") {
-        run_soak();
-        return ExitCode::SUCCESS;
+    let repeats = env_parse("BENCH_REPEATS", 5);
+    let bundle = Workload {
+        repeats,
+        ..Workload::bundle()
+    };
+    let bundle_dir = env::var("BENCH_BUNDLE_DIR").ok().map(PathBuf::from);
+    match command {
+        Some("soak") => run_soak(),
+        Some("bundle") => run_bundle(&bundle, bundle_dir),
+        _ => {
+            let defaults = Workload::default();
+            let campaign = Workload {
+                sites: env_parse("BENCH_SITES", defaults.sites),
+                domains: env_parse("BENCH_DOMAINS", defaults.domains),
+                threads: env_list("BENCH_THREADS", defaults.threads.clone()),
+                repeats,
+                ..defaults
+            };
+            run_sweeps(campaign);
+            run_bundle(&bundle, bundle_dir);
+        }
     }
-    if args.get(1).map(String::as_str) == Some("bundle") {
-        run_bundle();
-        return ExitCode::SUCCESS;
-    }
-    run_sweeps();
     ExitCode::SUCCESS
 }
 
@@ -90,20 +114,16 @@ fn run_diff(args: &[String]) -> ExitCode {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--threshold" => {
+            flag @ ("--threshold" | "--threshold-p95") => {
                 let Some(v) = args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) else {
-                    eprintln!("--threshold needs a numeric percentage");
+                    eprintln!("{flag} needs a numeric percentage");
                     return ExitCode::from(2);
                 };
-                threshold = v;
-                i += 2;
-            }
-            "--threshold-p95" => {
-                let Some(v) = args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) else {
-                    eprintln!("--threshold-p95 needs a numeric percentage");
-                    return ExitCode::from(2);
-                };
-                threshold_p95 = v;
+                if flag == "--threshold" {
+                    threshold = v;
+                } else {
+                    threshold_p95 = v;
+                }
                 i += 2;
             }
             p => {
@@ -123,14 +143,8 @@ fn run_diff(args: &[String]) -> ExitCode {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         Json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))
     };
-    let diff = match load(old_path).and_then(|old| Ok((old, load(new_path)?))) {
-        Ok((old, new)) => match diff_documents(&old, &new) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
-        },
+    let diff = match load(old_path).and_then(|old| diff_documents(&old, &load(new_path)?)) {
+        Ok(d) => d,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::from(2);
@@ -144,207 +158,79 @@ fn run_diff(args: &[String]) -> ExitCode {
     }
 }
 
-fn run_sweeps() {
-    let threads: Vec<usize> = env::var("BENCH_THREADS")
-        .unwrap_or_else(|_| "1,2,4,8".to_string())
-        .split(',')
-        .filter_map(|t| t.trim().parse().ok())
-        .collect();
+/// The campaign, checkpoint, obs and watch sweeps; obs and watch share
+/// the campaign's world, toplist and repeats at a fixed thread count.
+fn run_sweeps(campaign: Workload) {
     let chaos = env::var("CONSENT_CHAOS").unwrap_or_else(|_| "none".to_string());
-    let bench = CampaignBench {
-        n_sites: env_parse("BENCH_SITES", 4_000),
-        domains: env_parse("BENCH_DOMAINS", 600),
-        threads: if threads.is_empty() {
-            vec![1, 2, 4, 8]
-        } else {
-            threads
-        },
-        profile: FaultProfile::from_env(),
-        chaos,
-        repeats: env_parse("BENCH_REPEATS", 5),
-        ..CampaignBench::default()
+    announce("campaign_throughput", &campaign);
+    let sweep = consent_bench::campaign(&campaign, FaultProfile::from_env(), &chaos);
+    print_table(&sweep.records, true);
+    write_doc("BENCH_OUT", "BENCH_campaign.json", &sweep);
+
+    let checkpoint = Workload::checkpoint();
+    announce("checkpoint_durability", &checkpoint);
+    let sweep = consent_bench::checkpoint(&checkpoint);
+    print_table(&sweep.records, false);
+    write_doc("BENCH_CHECKPOINT_OUT", "BENCH_checkpoint.json", &sweep);
+
+    let overhead = Workload {
+        threads: vec![OVERHEAD_THREADS],
+        ..campaign
     };
-    let out = env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_campaign.json".to_string());
-
-    eprintln!(
-        "campaign_throughput: {} domains x {} vantages = {} pairs, chaos={}, threads {:?}",
-        bench.domains,
-        bench.vantages.len(),
-        bench.pairs(),
-        bench.chaos,
-        bench.threads
-    );
-    let records = bench.run();
-
-    let base = records
-        .iter()
-        .find(|r| r.threads == 1)
-        .map(|r| r.pairs_per_sec);
-    println!(
-        "{:<24} {:>12} {:>10} {:>10} {:>9}",
-        "bench", "pairs/sec", "p50 µs", "p95 µs", "speedup"
-    );
-    for r in &records {
-        let speedup = base.map_or("-".to_string(), |b| format!("{:.2}x", r.pairs_per_sec / b));
-        println!(
-            "{:<24} {:>12.1} {:>10} {:>10} {:>9}",
-            r.name, r.pairs_per_sec, r.p50_us, r.p95_us, speedup
-        );
-    }
-
-    let doc = bench.document(&records);
-    write_doc(&out, &doc);
-
-    let ckpt = CheckpointBench::default();
-    let ckpt_out =
-        env::var("BENCH_CHECKPOINT_OUT").unwrap_or_else(|_| "BENCH_checkpoint.json".to_string());
-    eprintln!(
-        "checkpoint_durability: {} domains x {} vantages, {} repeats per operation",
-        ckpt.domains,
-        ckpt.vantages.len(),
-        ckpt.repeats
-    );
-    let mut ckpt_records = ckpt.run();
-    eprintln!(
-        "checkpoint_progress: delta-vs-full cut cost at 10/50/90% of {} pairs",
-        ckpt.pairs()
-    );
-    ckpt_records.extend(ckpt.run_progress_sweep());
-    for r in &ckpt_records {
-        println!(
-            "{:<28} {:>12.1} {:>10} {:>10} {:>9}",
-            r.name, r.pairs_per_sec, r.p50_us, r.p95_us, "-"
-        );
-    }
-    let ckpt_doc = ckpt.document(&ckpt_records);
-    write_doc(&ckpt_out, &ckpt_doc);
-
-    let obs = ObsBench {
-        n_sites: env_parse("BENCH_SITES", 4_000),
-        domains: env_parse("BENCH_DOMAINS", 600),
-        repeats: env_parse("BENCH_REPEATS", 5),
-        ..ObsBench::default()
-    };
-    let obs_out = env::var("BENCH_OBS_OUT").unwrap_or_else(|_| "BENCH_obs.json".to_string());
-    eprintln!(
-        "obs_overhead: {} pairs x {} repeats, sampler off/logical/wall at {} threads",
-        obs.pairs(),
-        obs.repeats,
-        obs.threads
-    );
-    let obs_records = obs.run();
-    for r in &obs_records {
-        println!(
-            "{:<24} {:>12.1} {:>10} {:>10} {:>9}",
-            r.name, r.pairs_per_sec, r.p50_us, r.p95_us, "-"
-        );
-    }
-    for (name, pct) in ObsBench::overhead_pct(&obs_records) {
-        println!("{name:<24} overhead vs off: {pct:+.2}%");
-    }
-    let obs_doc = obs.document(&obs_records);
-    write_doc(&obs_out, &obs_doc);
-
-    let watch = WatchBench {
-        n_sites: env_parse("BENCH_SITES", 4_000),
-        domains: env_parse("BENCH_DOMAINS", 600),
-        repeats: env_parse("BENCH_REPEATS", 5),
-        ..WatchBench::default()
-    };
-    let watch_out = env::var("BENCH_WATCH_OUT").unwrap_or_else(|_| "BENCH_watch.json".to_string());
-    eprintln!(
-        "watch_overhead: {} pairs x {} repeats, detectors off/on at {} threads",
-        watch.pairs(),
-        watch.repeats,
-        watch.threads
-    );
-    let watch_records = watch.run();
-    for r in &watch_records {
-        println!(
-            "{:<24} {:>12.1} {:>10} {:>10} {:>9}",
-            r.name, r.pairs_per_sec, r.p50_us, r.p95_us, "-"
-        );
-    }
-    for (name, pct) in WatchBench::overhead_pct(&watch_records) {
-        println!("{name:<24} overhead vs off: {pct:+.2}%");
-    }
-    write_doc(&watch_out, &watch.document(&watch_records));
-
-    run_bundle();
+    announce("obs_overhead", &overhead);
+    let sweep = consent_bench::obs(&overhead);
+    print_overhead(&sweep);
+    write_doc("BENCH_OBS_OUT", "BENCH_obs.json", &sweep);
+    announce("watch_overhead", &overhead);
+    let sweep = consent_bench::watch(&overhead);
+    print_overhead(&sweep);
+    write_doc("BENCH_WATCH_OUT", "BENCH_watch.json", &sweep);
 }
 
-/// The bundle archival sweep — the tail of the default invocation, and
-/// the whole of `consent-bench bundle`. `BENCH_BUNDLE_DIR` keeps the
-/// verify/replay bundle on disk for post-hoc manifest inspection (the
-/// CI `bundle` job re-fscks it from the spec in python).
-fn run_bundle() {
-    let bundle = BundleBench {
-        repeats: env_parse("BENCH_REPEATS", 5),
-        keep_dir: env::var("BENCH_BUNDLE_DIR").ok().map(Into::into),
-        ..BundleBench::default()
-    };
-    let bundle_out =
-        env::var("BENCH_BUNDLE_OUT").unwrap_or_else(|_| "BENCH_bundle.json".to_string());
-    eprintln!(
-        "bundle_archive: {} domains x {} vantages x {} days = {} pairs, \
-         identity at {:?} threads, {} repeats per operation",
-        bundle.domains,
-        bundle.vantages.len(),
-        bundle.days.len(),
-        bundle.pairs(),
-        bundle.threads,
-        bundle.repeats
-    );
-    let bundle_sweep = bundle.run();
-    for r in &bundle_sweep.records {
-        println!(
-            "{:<24} {:>12.1} {:>10} {:>10} {:>9}",
-            r.name, r.pairs_per_sec, r.p50_us, r.p95_us, "-"
-        );
+fn print_overhead(sweep: &Sweep) {
+    print_table(&sweep.records, false);
+    for (name, pct) in overhead_pct(&sweep.records) {
+        println!("{name:<28} overhead vs off: {pct:+.2}%");
     }
+}
+
+/// The bundle archival sweep — the tail of the default invocation and
+/// the whole of `consent-bench bundle`.
+fn run_bundle(bundle: &Workload, keep_dir: Option<PathBuf>) {
+    announce("bundle_archive", bundle);
+    let sweep = consent_bench::bundle(bundle, keep_dir.as_deref());
+    print_table(&sweep.records, false);
+    let dedup = sweep
+        .workload
+        .get("dedup")
+        .expect("bundle sweep records dedup");
+    let field = |key: &str| dedup.get(key).and_then(Json::as_f64).unwrap_or(0.0);
     println!(
         "bundle dedup ratio: {:.3} ({} logical / {} stored bytes)",
-        bundle_sweep.dedup_ratio, bundle_sweep.logical_bytes, bundle_sweep.stored_bytes
+        field("ratio"),
+        field("logical_bytes"),
+        field("stored_bytes")
     );
-    if let Some(dir) = &bundle.keep_dir {
+    if let Some(dir) = &keep_dir {
         eprintln!("kept bundle at {}", dir.display());
     }
-    write_doc(&bundle_out, &bundle.document(&bundle_sweep));
+    write_doc("BENCH_BUNDLE_OUT", "BENCH_bundle.json", &sweep);
 }
 
-/// `consent-bench soak` — the storage-fault soak sweep, written to
-/// `BENCH_soak.json` (override with `BENCH_SOAK_OUT`). Rates come from
-/// `SOAK_RATES` (comma-separated per-mille, default `0,5,10,50`);
-/// `SOAK_REPEATS` campaigns per rate (default 3).
+/// `consent-bench soak` — the storage-fault soak sweep.
 fn run_soak() {
-    let rates: Vec<u64> = env::var("SOAK_RATES")
-        .unwrap_or_else(|_| "0,5,10,50".to_string())
-        .split(',')
-        .filter_map(|r| r.trim().parse().ok())
-        .collect();
-    let bench = SoakBench {
-        rates_per_mille: if rates.is_empty() {
-            vec![0, 5, 10, 50]
-        } else {
-            rates
-        },
+    let soak = Workload {
         repeats: env_parse("SOAK_REPEATS", 3),
-        ..SoakBench::default()
+        ..Workload::soak()
     };
-    let out = env::var("BENCH_SOAK_OUT").unwrap_or_else(|_| "BENCH_soak.json".to_string());
-    eprintln!(
-        "storage_soak: {} pairs x {} repeats per rate, rates {:?}\u{2030}, {} threads",
-        bench.pairs(),
-        bench.repeats,
-        bench.rates_per_mille,
-        bench.threads
-    );
-    let records = bench.run();
+    let rates = env_list("SOAK_RATES", vec![0, 5, 10, 50]);
+    announce(&format!("storage_soak at {rates:?}\u{2030}"), &soak);
+    let sweep = consent_bench::soak(&soak, &rates);
     println!(
         "{:<28} {:>12} {:>10} {:>9} {:>9} {:>12} {:>12}",
         "bench", "pairs/sec", "faults", "retries", "complete", "mttr µs", "mttr p95"
     );
-    for r in &records {
+    for r in &sweep.records {
         println!(
             "{:<28} {:>12.1} {:>10} {:>9} {:>8.0}% {:>12.0} {:>12}",
             r.record.name,
@@ -356,12 +242,45 @@ fn run_soak() {
             r.mttr_us_p95
         );
     }
-    write_doc(&out, &bench.document(&records));
+    write_doc("BENCH_SOAK_OUT", "BENCH_soak.json", &sweep);
 }
 
-fn write_doc(out: &str, doc: &consent_util::Json) {
-    std::fs::write(out, format!("{}\n", doc.to_pretty())).unwrap_or_else(|e| {
-        panic!("writing {out}: {e}");
-    });
+fn announce(name: &str, w: &Workload) {
+    eprintln!(
+        "{name}: {} domains x {} vantages x {} days = {} pairs, threads {:?}, {} repeats",
+        w.domains,
+        w.vantages.len(),
+        w.days.len(),
+        w.pairs(),
+        w.threads,
+        w.reps()
+    );
+}
+
+/// One line per record; `speedup` adds each row's throughput relative
+/// to the 1-thread row (the campaign sweep).
+fn print_table(records: &[BenchRecord], speedup: bool) {
+    let base = speedup
+        .then(|| records.iter().find(|r| r.threads == 1))
+        .flatten()
+        .map(|r| r.pairs_per_sec);
+    println!(
+        "{:<28} {:>12} {:>10} {:>10} {:>9}",
+        "bench", "pairs/sec", "p50 µs", "p95 µs", "speedup"
+    );
+    for r in records {
+        let speedup = base.map_or("-".to_string(), |b| format!("{:.2}x", r.pairs_per_sec / b));
+        println!(
+            "{:<28} {:>12.1} {:>10} {:>10} {:>9}",
+            r.name, r.pairs_per_sec, r.p50_us, r.p95_us, speedup
+        );
+    }
+}
+
+/// Write `sweep`'s document to the path in `var`, or to `default`.
+fn write_doc<R: Row>(var: &str, default: &str, sweep: &Sweep<R>) {
+    let out = env::var(var).unwrap_or_else(|_| default.to_string());
+    std::fs::write(&out, format!("{}\n", sweep.document().to_pretty()))
+        .unwrap_or_else(|e| panic!("writing {out}: {e}"));
     eprintln!("wrote {out}");
 }

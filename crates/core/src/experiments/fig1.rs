@@ -142,8 +142,3 @@ mod tests {
         assert_eq!(s.lines().count(), 3 + 8);
     }
 }
-
-/// [`related_work`] with telemetry: records a run report named `fig1`.
-pub fn related_work_reported(study: &crate::Study) -> Vec<RelatedStudy> {
-    super::run_reported(study, "fig1", related_work)
-}

@@ -176,8 +176,3 @@ mod tests {
         assert!(end * 2 >= mid, "end {end} collapsed vs mid {mid}");
     }
 }
-
-/// [`fig6`] with telemetry: records a run report named `fig6`.
-pub fn fig6_reported(study: &Study) -> Fig6Result {
-    super::run_reported(study, "fig6", || fig6(study))
-}

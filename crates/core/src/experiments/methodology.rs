@@ -128,9 +128,3 @@ mod tests {
         assert!(rendered.contains("99.8%"));
     }
 }
-
-/// [`methodology`] with telemetry: records a run report named
-/// `methodology`.
-pub fn methodology_reported(study: &Study, fig6: &Fig6Result) -> MethodologyResult {
-    super::run_reported(study, "methodology", || methodology(study, fig6))
-}

@@ -1,12 +1,13 @@
 //! One module per paper table/figure; see DESIGN.md's experiment index.
 //!
-//! Every experiment has a plain entry point plus a `*_reported` variant
-//! that wraps it in [`run_reported`]: the run is timed, the global
-//! telemetry registry is snapshotted before and after, and the resulting
-//! [`consent_telemetry::RunReport`] — capture counts per vantage and
-//! `CaptureStatus`, retries, dedup skips — is recorded on the
-//! [`Study`]. With telemetry disabled (the default) the
-//! wrappers cost two empty snapshots and a clock read. For causal
+//! Every experiment has one plain entry point. To account for a run,
+//! wrap the call in [`run_reported`], e.g.
+//! `run_reported(&study, "fig6", || fig6::fig6(&study))`: the run is
+//! timed, the global telemetry registry is snapshotted before and after,
+//! and the resulting [`consent_telemetry::RunReport`] — capture counts
+//! per vantage and `CaptureStatus`, retries, dedup skips — is recorded
+//! on the [`Study`] under the given name. With telemetry disabled (the
+//! default) that costs two empty snapshots and a clock read. For causal
 //! per-capture tracing, [`run_traced`] additionally turns on the global
 //! `consent_trace` log around a closure and hands back the byte-stable
 //! JSONL export (see `examples/trace_explain.rs`).

@@ -135,14 +135,3 @@ mod tests {
         assert!(jan.table.coverage(0) <= may.table.coverage(0) + 0.05);
     }
 }
-
-/// [`table1`] with telemetry: records a [`consent_telemetry::RunReport`]
-/// named `table1` on the study.
-pub fn table1_reported(study: &Study) -> Table1Result {
-    super::run_reported(study, "table1", || table1(study))
-}
-
-/// [`table_a3`] with telemetry: records a run report named `table_a3`.
-pub fn table_a3_reported(study: &Study) -> Table1Result {
-    super::run_reported(study, "table_a3", || table_a3(study))
-}

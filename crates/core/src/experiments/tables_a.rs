@@ -58,13 +58,3 @@ mod tests {
         }
     }
 }
-
-/// [`table_a1`] with telemetry: records a run report named `table_a1`.
-pub fn table_a1_reported(study: &crate::Study) -> String {
-    super::run_reported(study, "table_a1", table_a1)
-}
-
-/// [`table_a2`] with telemetry: records a run report named `table_a2`.
-pub fn table_a2_reported(study: &crate::Study) -> String {
-    super::run_reported(study, "table_a2", table_a2)
-}

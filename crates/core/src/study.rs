@@ -106,8 +106,9 @@ impl Study {
         self.seed
     }
 
-    /// Record a telemetry run report (the `*_reported` experiment
-    /// wrappers call this).
+    /// Record a telemetry run report
+    /// ([`experiments::run_reported`](crate::experiments::run_reported)
+    /// calls this).
     pub fn record_report(&self, report: RunReport) {
         self.reports
             .lock()

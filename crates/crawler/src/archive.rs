@@ -511,7 +511,7 @@ mod tests {
         let day = Day::from_ymd(2020, 5, 15);
         let vantages = [Vantage::us_cloud(), Vantage::eu_cloud()];
         let seed = SeedTree::new(9);
-        let run = run_campaign_with(&world, &list, day, &vantages, seed.clone(), &quiet());
+        let run = run_campaign_with(&world, &list, day, &vantages, seed, &quiet());
         let ctx = ArchiveContext::from_campaign(day, &list, &vantages, &seed);
         (run.state, run.result, ctx)
     }
@@ -543,7 +543,7 @@ mod tests {
         let days = [Day::from_ymd(2020, 5, 15), Day::from_ymd(2020, 5, 16)];
         let runs: Vec<_> = days
             .iter()
-            .map(|&day| run_campaign_with(&world, &list, day, &vantages, seed.clone(), &quiet()))
+            .map(|&day| run_campaign_with(&world, &list, day, &vantages, seed, &quiet()))
             .collect();
         let ctx = ArchiveContext::from_campaign(days[1], &list, &vantages, &seed);
         let artifacts = CampaignArtifacts {

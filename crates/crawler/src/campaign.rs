@@ -527,7 +527,7 @@ pub(crate) fn process_pair(
         capture = Some(c);
         if breaker_opened {
             consent_telemetry::count("campaign.breaker.open", 1);
-            consent_telemetry::gauge_add("campaign.breaker.open_pairs", 1);
+            consent_telemetry::count("campaign.breaker.open_pairs", 1);
             consent_trace::event("breaker.open", |a| {
                 a.push("attempt", attempt_no.to_string());
             });

@@ -200,8 +200,10 @@ pub fn resume_campaign_parallel(
 
     // Work distribution: a shared cursor over the pair order. Claiming
     // one index per fetch keeps the pool balanced when per-pair cost
-    // varies (retries, breaker opens); each pair is milliseconds of
-    // work, so contention on the counter is negligible.
+    // varies (retries, breaker opens). A pair is about 13.5 µs of work
+    // (perfbench's traced 1-thread Tranco-10k × 6-vantage campaign: 60 000
+    // pairs in 0.812 s on a 2-vCPU VM), so one fetch_add per pair, tens
+    // of nanoseconds even when contended, stays well under 1% of it.
     let next = AtomicU64::new(start);
     let n_seeds = seeds.len() as u64;
     let shards: Vec<Vec<(u64, PairOutput)>> = thread::scope(|sc| {

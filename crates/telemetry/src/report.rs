@@ -179,8 +179,9 @@ impl RunReport {
                 t.row(vec![format!("  {label} {value}"), thousands(n)]);
             }
         }
-        if let Some(&open) = self.delta.gauges.get("campaign.breaker.open_pairs") {
-            t.row(vec!["Breaker-opened pairs".into(), open.to_string()]);
+        let open = self.delta.counter("campaign.breaker.open_pairs");
+        if open > 0 {
+            t.row(vec!["Breaker-opened pairs".into(), thousands(open)]);
         }
         t.to_string()
     }

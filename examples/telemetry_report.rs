@@ -18,13 +18,16 @@ fn main() {
     println!("====================================\n");
     let study = Study::quick();
 
-    // Run a slice of the paper's experiments through the reporting
-    // wrappers; each records a RunReport on the study.
-    let t1 = experiments::table1::table1_reported(&study);
-    let f6 = experiments::fig6::fig6_reported(&study);
-    let _f9 = experiments::fig9::fig9_reported(&study);
-    let _i3 = experiments::i3::i3_customization_reported(&study, &t1);
-    let _meth = experiments::methodology::methodology_reported(&study, &f6);
+    // Run a slice of the paper's experiments under `run_reported`; each
+    // records a RunReport on the study.
+    use experiments::{fig6, fig9, i3, methodology, run_reported, table1};
+    let t1 = run_reported(&study, "table1", || table1::table1(&study));
+    let f6 = run_reported(&study, "fig6", || fig6::fig6(&study));
+    let _f9 = run_reported(&study, "fig9", || fig9::fig9(&study));
+    let _i3 = run_reported(&study, "i3", || i3::i3_customization(&t1));
+    let _meth = run_reported(&study, "methodology", || {
+        methodology::methodology(&study, &f6)
+    });
 
     for report in study.reports() {
         println!("{}", report.render());

@@ -7,9 +7,11 @@
 //! thread count — with and without chaos, and across a kill-halfway
 //! checkpoint/resume cycle. This binary pins those promises.
 //!
-//! The trace test enables the process-global `consent_trace` log; tests
-//! serialize on a lock (cargo runs one binary's test fns concurrently)
-//! and leave the log cleared and disabled, mirroring `it_trace`.
+//! Campaigns write into the process-global `consent_trace` log whenever
+//! it is enabled, and cargo runs one binary's test fns concurrently, so
+//! every test here holds one lock while it crawls. The trace test
+//! enables the log under that lock and leaves it cleared and disabled,
+//! mirroring `it_trace`.
 
 use consent_crawler::{
     build_toplist, resume_campaign_parallel, run_campaign_parallel, run_campaign_with,
@@ -23,9 +25,15 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
-/// Hold the global trace log for one test.
+/// Keep every other test's campaigns out of the global trace log while
+/// this test runs.
+fn serial() -> MutexGuard<'static, ()> {
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Hold the global trace log, cleared and recording, for one test.
 fn lock() -> MutexGuard<'static, ()> {
-    let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let guard = serial();
     consent_trace::clear();
     consent_trace::enable();
     guard
@@ -112,6 +120,7 @@ fn assert_same_run(a: &CampaignRun, b: &CampaignRun) {
 
 #[test]
 fn parallel_matches_sequential_bytes_without_chaos() {
+    let _serial = serial();
     let seq = sequential(FaultProfile::none());
     assert!(seq.complete);
     for threads in [1usize, 2, 4] {
@@ -123,6 +132,7 @@ fn parallel_matches_sequential_bytes_without_chaos() {
 
 #[test]
 fn parallel_matches_sequential_bytes_under_mild_chaos() {
+    let _serial = serial();
     let seq = sequential(FaultProfile::mild());
     assert!(seq.complete);
     // Chaos means retries, breaker opens, and dead letters — all of
@@ -141,6 +151,7 @@ fn parallel_matches_sequential_bytes_under_mild_chaos() {
 
 #[test]
 fn killed_halfway_parallel_run_resumes_to_the_same_bytes() {
+    let _serial = serial();
     let cfg = config(FaultProfile::mild());
     let full = sequential(FaultProfile::mild());
     let total = (toplist().len() * vantages().len()) as u64;

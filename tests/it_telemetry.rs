@@ -175,13 +175,26 @@ fn run_reports_reconcile_with_capture_db() {
     // A reported experiment records onto the study, and a second report
     // only contains its own delta (snapshots isolate runs).
     let before_reports = study.reports().len();
-    let _f9 = experiments::fig9::fig9_reported(&study);
+    let _f9 = experiments::run_reported(&study, "fig9", || experiments::fig9::fig9(&study));
     let reports = study.reports();
     assert_eq!(reports.len(), before_reports + 1);
     let f9_report = reports.last().unwrap();
     assert_eq!(f9_report.name, "fig9");
     // fig9 is a dialog-interaction experiment: no captures are stored.
     assert_eq!(f9_report.captures_total(), 0);
+
+    // Breaker-opened pairs belong to the run that opened them: a
+    // campaign's count must not reappear in a later report.
+    let _t1 = experiments::run_reported(&study, "table1", || experiments::table1::table1(&study));
+    let _f6 = experiments::run_reported(&study, "fig6", || experiments::fig6::fig6(&study));
+    let reports = study.reports();
+    let [.., t1_report, f6_report] = reports.as_slice() else {
+        unreachable!("two reports were just recorded")
+    };
+    let open_pairs = |r: &RunReport| r.delta.counter("campaign.breaker.open_pairs");
+    assert!(open_pairs(t1_report) > 0, "table1 opened no breakers");
+    assert_eq!(open_pairs(f6_report), 0);
+    assert!(!f6_report.render().contains("Breaker-opened pairs"));
 
     // Instrumentation is observational only: a re-run of the same
     // pipeline yields byte-identical capture sets.
