@@ -385,7 +385,8 @@ impl Reading {
 pub struct BenchRecord {
     /// Record name, e.g. `campaign/threads=4`.
     pub name: String,
-    /// Worker threads used (1 = the sequential code path).
+    /// Worker threads used, the calling thread included (1 = no helper
+    /// threads).
     pub threads: usize,
     /// Pairs processed (or covered by the timed operations).
     pub pairs: u64,

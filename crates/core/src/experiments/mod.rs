@@ -12,12 +12,11 @@
 //! `consent_trace` log around a closure and hands back the byte-stable
 //! JSONL export (see `examples/trace_explain.rs`).
 //!
-//! Campaign-shaped experiments also have a `*_parallel` variant (e.g.
-//! [`table1::table1_parallel`]) that runs the same crawl on the
-//! worker-pool executor (`consent_crawler::run_campaign_parallel`).
-//! Because the parallel merge is byte-deterministic, the variant returns
-//! exactly the same result at any thread count — it exists purely for
-//! wall-clock speed on multicore hardware.
+//! Campaign-shaped experiments (e.g. [`table1::table1`]) crawl on the
+//! worker-pool executor (`consent_crawler::run_campaign_parallel`) with
+//! one worker per core. Because its merge is byte-deterministic, the
+//! result is exactly the same at any thread count; the core count only
+//! sets the wall-clock time.
 
 use crate::Study;
 

@@ -2,9 +2,7 @@
 
 use crate::study::Study;
 use consent_analysis::{vantage_table, VantageTable};
-use consent_crawler::{
-    build_toplist, run_campaign, run_campaign_parallel, CampaignResult, ParallelOpts,
-};
+use consent_crawler::{build_toplist, run_campaign_parallel, CampaignResult, ParallelOpts};
 use consent_fingerprint::Detector;
 use consent_httpsim::Vantage;
 use consent_util::{date::known, Day};
@@ -41,57 +39,34 @@ pub fn table_a3(study: &Study) -> Table1Result {
     run_at(study, known::jan_2020_snapshot())
 }
 
-/// Run the campaign at an arbitrary snapshot day.
+/// Run the campaign at an arbitrary snapshot day, one worker per core
+/// (the exports are the same at any thread count).
 pub fn run_at(study: &Study, snapshot: Day) -> Table1Result {
+    run_on(study, snapshot, &ParallelOpts::default())
+}
+
+/// [`run_at`] under explicit executor options.
+fn run_on(study: &Study, snapshot: Day, opts: &ParallelOpts) -> Table1Result {
     let list = build_toplist(
         study.world(),
         study.config().toplist_size,
         study.seed().child("toplist"),
     );
-    let campaign = run_campaign(
+    let campaign = run_campaign_parallel(
         study.world(),
         &list,
         snapshot,
         &Vantage::table1_columns(),
         study.seed().child("campaign").child_idx(snapshot.0 as u64),
-    );
+        opts,
+    )
+    .result;
     let table = vantage_table(&campaign, &Detector::hostname_only());
     Table1Result {
         snapshot,
         table,
         campaign,
     }
-}
-
-/// [`run_at`] on the worker-pool executor. Returns the same result as
-/// the sequential entry point at any `threads` — the parallel merge is
-/// byte-deterministic — just faster on multicore hardware. `threads <= 1`
-/// runs the sequential code path unchanged.
-pub fn run_at_parallel(study: &Study, snapshot: Day, threads: usize) -> Table1Result {
-    let list = build_toplist(
-        study.world(),
-        study.config().toplist_size,
-        study.seed().child("toplist"),
-    );
-    let run = run_campaign_parallel(
-        study.world(),
-        &list,
-        snapshot,
-        &Vantage::table1_columns(),
-        study.seed().child("campaign").child_idx(snapshot.0 as u64),
-        &ParallelOpts::with_threads(threads),
-    );
-    let table = vantage_table(&run.result, &Detector::hostname_only());
-    Table1Result {
-        snapshot,
-        table,
-        campaign: run.result,
-    }
-}
-
-/// [`table1`] on the worker-pool executor ([`run_at_parallel`]).
-pub fn table1_parallel(study: &Study, threads: usize) -> Table1Result {
-    run_at_parallel(study, known::may_2020_snapshot(), threads)
 }
 
 #[cfg(test)]
@@ -115,8 +90,14 @@ mod tests {
     #[test]
     fn parallel_variant_renders_the_same_table() {
         let study = Study::quick();
-        let seq = table1(&study);
-        let par = table1_parallel(&study, 3);
+        let at = |threads| {
+            let opts = ParallelOpts {
+                threads,
+                ..ParallelOpts::default()
+            };
+            run_on(&study, known::may_2020_snapshot(), &opts)
+        };
+        let (seq, par) = (at(1), at(3));
         assert_eq!(seq.render(), par.render());
         assert_eq!(seq.campaign.columns.len(), par.campaign.columns.len());
     }

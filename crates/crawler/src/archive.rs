@@ -475,7 +475,8 @@ pub fn replay_campaign_bundle(dir: &Path, provider: Option<&ExportFn>) -> io::Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{build_toplist, run_campaign_with, CampaignConfig};
+    use crate::campaign::{build_toplist, CampaignConfig};
+    use crate::parallel::{run_campaign_parallel, ParallelOpts};
     use crate::resilience::{BreakerConfig, RetryPolicy};
     use consent_bundle::BlobStore;
     use consent_faultsim::FaultProfile;
@@ -493,11 +494,15 @@ mod tests {
         ))
     }
 
-    fn quiet() -> CampaignConfig {
-        CampaignConfig {
-            fault_profile: FaultProfile::none(),
-            retry: RetryPolicy::paper(),
-            breaker: BreakerConfig::default(),
+    fn quiet() -> ParallelOpts {
+        ParallelOpts {
+            threads: 1,
+            config: CampaignConfig {
+                fault_profile: FaultProfile::none(),
+                retry: RetryPolicy::paper(),
+                breaker: BreakerConfig::default(),
+            },
+            max_pairs: None,
         }
     }
 
@@ -511,7 +516,7 @@ mod tests {
         let day = Day::from_ymd(2020, 5, 15);
         let vantages = [Vantage::us_cloud(), Vantage::eu_cloud()];
         let seed = SeedTree::new(9);
-        let run = run_campaign_with(&world, &list, day, &vantages, seed, &quiet());
+        let run = run_campaign_parallel(&world, &list, day, &vantages, seed, &quiet());
         let ctx = ArchiveContext::from_campaign(day, &list, &vantages, &seed);
         (run.state, run.result, ctx)
     }
@@ -543,7 +548,7 @@ mod tests {
         let days = [Day::from_ymd(2020, 5, 15), Day::from_ymd(2020, 5, 16)];
         let runs: Vec<_> = days
             .iter()
-            .map(|&day| run_campaign_with(&world, &list, day, &vantages, seed, &quiet()))
+            .map(|&day| run_campaign_parallel(&world, &list, day, &vantages, seed, &quiet()))
             .collect();
         let ctx = ArchiveContext::from_campaign(days[1], &list, &vantages, &seed);
         let artifacts = CampaignArtifacts {

@@ -32,9 +32,9 @@ use crate::export::{export as export_db, import as import_db, status_code, Impor
 use crate::resilience::{BreakerConfig, CircuitBreaker, Outcome, RetryPolicy};
 use consent_faultsim::{FaultProfile, FaultyEngine};
 use consent_fingerprint::Detector;
-use consent_httpsim::{split_url, CaptureOptions, CaptureStatus, Location, Vantage, WorldProber};
+use consent_httpsim::{split_url, CaptureOptions, CaptureStatus, Location, Vantage};
 use consent_psl::PublicSuffixList;
-use consent_toplist::{default_providers, resolve_all, AggregationRule, SeedUrl, Toplist};
+use consent_toplist::{default_providers, AggregationRule, SeedUrl, Toplist};
 use consent_trace::{stable_id, AttemptProvenance, Provenance, ProvenanceLog};
 use consent_util::{Day, SeedTree};
 use consent_webgraph::World;
@@ -118,7 +118,7 @@ impl Default for CampaignConfig {
 ///
 /// ```
 /// use consent_crawler::{
-///     build_toplist, resume_campaign, run_campaign_with, CampaignConfig, CampaignState,
+///     build_toplist, resume_campaign_parallel, run_campaign_parallel, CampaignState, ParallelOpts,
 /// };
 /// use consent_httpsim::Vantage;
 /// use consent_util::{Day, SeedTree};
@@ -132,25 +132,23 @@ impl Default for CampaignConfig {
 /// let list = build_toplist(&world, 6, SeedTree::new(7));
 /// let day = Day::from_ymd(2020, 5, 15);
 /// let vantages = [Vantage::us_cloud()];
-/// let config = CampaignConfig::default();
+/// let opts = ParallelOpts { threads: 1, ..ParallelOpts::default() };
 ///
 /// // Process three pairs, then "crash": only the checkpoint text survives.
-/// let partial = resume_campaign(
-///     &world, &list, day, &vantages, SeedTree::new(9),
-///     &config, CampaignState::new(), Some(3),
-/// );
+/// let budget = ParallelOpts { max_pairs: Some(3), ..opts.clone() };
+/// let partial = run_campaign_parallel(&world, &list, day, &vantages, SeedTree::new(9), &budget);
 /// assert!(!partial.complete);
 /// let checkpoint = partial.state.export();
 ///
 /// // A fresh process imports the checkpoint and runs to completion.
 /// let restored = CampaignState::import(&checkpoint).unwrap();
-/// let resumed = resume_campaign(
-///     &world, &list, day, &vantages, SeedTree::new(9), &config, restored, None,
+/// let resumed = resume_campaign_parallel(
+///     &world, &list, day, &vantages, SeedTree::new(9), &opts, restored,
 /// );
 /// assert!(resumed.complete);
 ///
 /// // Same bytes as never having been interrupted.
-/// let full = run_campaign_with(&world, &list, day, &vantages, SeedTree::new(9), &config);
+/// let full = run_campaign_parallel(&world, &list, day, &vantages, SeedTree::new(9), &opts);
 /// assert_eq!(resumed.state.export(), full.state.export());
 /// ```
 #[derive(Debug, Default)]
@@ -309,132 +307,17 @@ pub fn build_toplist(world: &World, n: usize, seed: SeedTree) -> Vec<String> {
     toplist.top(n).map(str::to_owned).collect()
 }
 
-/// Run a toplist campaign on `day` for the given vantage columns with
-/// the default [`CampaignConfig`] (chaos profile from `CONSENT_CHAOS`,
-/// §3.2 retries, anti-bot breaker).
-pub fn run_campaign(
-    world: &World,
-    domains: &[String],
-    day: Day,
-    vantages: &[Vantage],
-    seed: SeedTree,
-) -> CampaignResult {
-    run_campaign_with(
-        world,
-        domains,
-        day,
-        vantages,
-        seed,
-        &CampaignConfig::default(),
-    )
-    .result
-}
-
-/// Run a full campaign under an explicit config.
-pub fn run_campaign_with(
-    world: &World,
-    domains: &[String],
-    day: Day,
-    vantages: &[Vantage],
-    seed: SeedTree,
-    config: &CampaignConfig,
-) -> CampaignRun {
-    resume_campaign(
-        world,
-        domains,
-        day,
-        vantages,
-        seed,
-        config,
-        CampaignState::new(),
-        None,
-    )
-}
-
-/// Run (or continue) a campaign from a checkpoint.
-///
-/// Pairs are processed in a deterministic vantage-major, rank-minor
-/// order; the first `state.pairs_done` pairs are skipped without
-/// re-crawling. `max_pairs` caps how many pairs this invocation
-/// processes (useful for incremental checkpointing); `None` runs to
-/// completion. Because every random draw is keyed by `(host, day,
-/// vantage, attempt)` rather than by call order, an interrupted and
-/// resumed campaign is indistinguishable from an uninterrupted one.
-#[allow(clippy::too_many_arguments)]
-pub fn resume_campaign(
-    world: &World,
-    domains: &[String],
-    day: Day,
-    vantages: &[Vantage],
-    seed: SeedTree,
-    config: &CampaignConfig,
-    mut state: CampaignState,
-    max_pairs: Option<u64>,
-) -> CampaignRun {
-    let _span = consent_telemetry::span("campaign.run");
-    let engine = FaultyEngine::from_world(world, config.fault_profile, seed);
-    let prober = WorldProber::new(world, seed.child("prober"));
-    // Three resolution rounds over a week (§3.2). Resolution is a pure
-    // function of the seed, so a resumed run re-derives identical URLs.
-    let attempt_days = [day - 7, day - 4, day - 1];
-    let seeds = resolve_all(domains.iter().cloned(), &prober, &attempt_days);
-    let schedule = config.retry.schedule(day);
-    let detector = Detector::hostname_only();
-    let psl = PublicSuffixList::embedded();
-
-    let total_pairs = (vantages.len() * seeds.len()) as u64;
-    let budget = max_pairs.unwrap_or(u64::MAX);
-    let mut processed = 0u64;
-    let mut skipped = 0u64;
-    let mut pair_index = 0u64;
-    let mut columns: Vec<(Vantage, Vec<CampaignCapture>)> =
-        vantages.iter().map(|&v| (v, Vec::new())).collect();
-    'all: for (col, &vantage) in vantages.iter().enumerate() {
-        for (i, s) in seeds.iter().enumerate() {
-            if pair_index < state.pairs_done {
-                pair_index += 1;
-                skipped += 1;
-                continue;
-            }
-            if processed >= budget {
-                break 'all;
-            }
-            pair_index += 1;
-            processed += 1;
-            let out = process_pair_contained(
-                &engine,
-                s,
-                i + 1,
-                col,
-                vantage,
-                day,
-                &schedule,
-                config,
-                &detector,
-            );
-            apply_pair(&mut state, &mut columns, day, out, &psl);
-        }
-    }
-    consent_telemetry::count("campaign.pairs_skipped", skipped);
-    let complete = state.pairs_done == total_pairs;
-    CampaignRun {
-        result: CampaignResult { columns, seeds },
-        state,
-        complete,
-    }
-}
-
 /// Everything one processed `(domain, vantage)` pair contributes to the
 /// campaign, produced by [`process_pair`] and folded into the cumulative
 /// state by [`apply_pair`].
 ///
-/// The split is what makes the parallel executor
-/// ([`run_campaign_parallel`](crate::parallel::run_campaign_parallel))
+/// The split is what makes the executor
+/// ([`resume_campaign_parallel`](crate::parallel::resume_campaign_parallel))
 /// deterministic: production is a pure function of the pair identity
 /// (every random draw is keyed by `(host, day, vantage, attempt)` and
 /// trace ids come from [`stable_id`]), so any number of workers can
 /// produce outputs in any order, and the order-restoring merge applies
-/// them in pair order — reproducing the sequential run byte for byte.
+/// them in pair order — the same bytes at any thread count.
 #[derive(Clone, Debug)]
 pub(crate) struct PairOutput {
     /// Index into the campaign's vantage columns.
@@ -545,7 +428,7 @@ pub(crate) fn process_pair(
     let capture = capture.expect("schedule has at least one attempt");
     // Detection runs here — on the worker, while the pair's trace is
     // still open — so its trace events land inside the pair trace with
-    // the same sequence numbers the sequential runner assigns.
+    // the same sequence numbers whichever worker crawled the pair.
     let cmps = CmpSet::from_iter(detector.detect(&capture));
     if !capture.usable() {
         consent_trace::event("dead_letter", |a| {
@@ -572,13 +455,13 @@ pub(crate) fn process_pair(
 /// capture path (an injected [`Fault::Panic`](consent_faultsim::Fault),
 /// or a genuine bug) unwinds to here and becomes a classified
 /// [`Outcome::Panic`] output instead of poisoning the executor — the
-/// sequential loop survives, and a parallel worker thread keeps draining
-/// pairs. The synthetic output is a pure function of the pair identity,
-/// so exports stay byte-identical at any thread count, and its capture
-/// is unusable, so [`apply_pair`] dead-letters the pair with provenance
-/// like any other abandoned pair.
+/// worker, the calling thread included, keeps draining pairs. The
+/// synthetic output is a pure function of the pair identity, so exports
+/// stay byte-identical at any thread count, and its capture is unusable,
+/// so [`apply_pair`] dead-letters the pair with provenance like any
+/// other abandoned pair.
 ///
-/// Both executors route every pair through this wrapper.
+/// The executor routes every pair through this wrapper.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn process_pair_contained(
     engine: &FaultyEngine<'_>,
@@ -660,10 +543,9 @@ pub(crate) fn process_pair_contained(
 
 /// Fold one [`PairOutput`] into the cumulative campaign state and the
 /// per-vantage result columns. Single-threaded by construction: the
-/// sequential runner calls it right after [`process_pair`], the parallel
-/// runner calls it from the merge loop in ascending pair order, so the
-/// [`CaptureDb`] insertion order — and with it the checkpoint export —
-/// is identical on both paths.
+/// executor calls it from the merge loop on the calling thread in
+/// ascending pair order, so the [`CaptureDb`] insertion order — and with
+/// it the checkpoint export — is identical at any thread count.
 pub(crate) fn apply_pair(
     state: &mut CampaignState,
     columns: &mut [(Vantage, Vec<CampaignCapture>)],
@@ -735,6 +617,7 @@ pub(crate) fn apply_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::{run_campaign_parallel, ParallelOpts};
     use consent_httpsim::Timing;
     use consent_webgraph::{AdoptionConfig, WorldConfig};
 
@@ -746,11 +629,15 @@ mod tests {
         })
     }
 
-    fn quiet() -> CampaignConfig {
-        CampaignConfig {
-            fault_profile: FaultProfile::none(),
-            retry: RetryPolicy::paper(),
-            breaker: BreakerConfig::default(),
+    fn quiet() -> ParallelOpts {
+        ParallelOpts {
+            threads: 1,
+            config: CampaignConfig {
+                fault_profile: FaultProfile::none(),
+                retry: RetryPolicy::paper(),
+                breaker: BreakerConfig::default(),
+            },
+            max_pairs: None,
         }
     }
 
@@ -782,7 +669,7 @@ mod tests {
         let list = build_toplist(&w, 150, SeedTree::new(7));
         let day = Day::from_ymd(2020, 5, 15);
         let vantages = Vantage::table1_columns();
-        let run = run_campaign_with(&w, &list, day, &vantages, SeedTree::new(9), &quiet());
+        let run = run_campaign_parallel(&w, &list, day, &vantages, SeedTree::new(9), &quiet());
         let result = run.result;
         assert!(run.complete);
         assert_eq!(run.state.pairs_done, 6 * 150);
@@ -822,7 +709,15 @@ mod tests {
         let list = build_toplist(&w, 400, SeedTree::new(7));
         let day = Day::from_ymd(2020, 5, 15);
         let vantages = Vantage::table1_columns();
-        let result = run_campaign(&w, &list, day, &vantages, SeedTree::new(9));
+        let result = run_campaign_parallel(
+            &w,
+            &list,
+            day,
+            &vantages,
+            SeedTree::new(9),
+            &ParallelOpts::default(),
+        )
+        .result;
         let det = consent_fingerprint::Detector::hostname_only();
         let count = |vantage: Vantage| {
             result
@@ -845,7 +740,7 @@ mod tests {
         let w = world();
         let list = build_toplist(&w, 100, SeedTree::new(7));
         let day = Day::from_ymd(2020, 5, 15);
-        let run = run_campaign_with(
+        let run = run_campaign_parallel(
             &w,
             &list,
             day,
@@ -876,7 +771,7 @@ mod tests {
         let w = world();
         let list = build_toplist(&w, 300, SeedTree::new(7));
         let day = Day::from_ymd(2020, 5, 15);
-        let run = run_campaign_with(
+        let run = run_campaign_parallel(
             &w,
             &list,
             day,
@@ -908,7 +803,7 @@ mod tests {
         let w = world();
         let list = build_toplist(&w, 80, SeedTree::new(7));
         let day = Day::from_ymd(2020, 5, 15);
-        let run = run_campaign_with(
+        let run = run_campaign_parallel(
             &w,
             &list,
             day,
@@ -964,7 +859,7 @@ mod tests {
         let run = {
             let w = world();
             let list = build_toplist(&w, 3, SeedTree::new(7));
-            run_campaign_with(
+            run_campaign_parallel(
                 &w,
                 &list,
                 Day::from_ymd(2020, 5, 15),

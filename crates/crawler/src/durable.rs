@@ -1,8 +1,7 @@
 //! Crash-safe campaign execution over a durable checkpoint store.
 //!
-//! The plain executors ([`resume_campaign`](crate::resume_campaign),
-//! [`resume_campaign_parallel`]) keep state in memory and leave
-//! persistence to the caller. This module closes the loop:
+//! The executor ([`resume_campaign_parallel`]) keeps state in memory
+//! and leaves persistence to the caller. This module closes the loop:
 //! [`run_durable_campaign`] processes pairs in chunks and writes each
 //! cut to a [`CheckpointStore`] as a five-section checkpoint — the three
 //! `CampaignState` sections plus a cursor line and the global trace
@@ -193,7 +192,8 @@ impl std::fmt::Debug for BundleSpec {
 /// How a durable campaign runs.
 #[derive(Clone, Debug)]
 pub struct DurableOpts {
-    /// Worker threads per chunk (`<= 1` is the sequential executor).
+    /// Worker threads per chunk, the calling thread included (see
+    /// [`ParallelOpts::threads`]).
     pub threads: usize,
     /// Campaign behavior: chaos profile, retry schedule, breaker.
     pub config: CampaignConfig,
@@ -237,7 +237,7 @@ pub struct DurableOpts {
 }
 
 impl Default for DurableOpts {
-    /// Sequential, default config, checkpoint every 25 pairs, no crash,
+    /// One worker, default config, checkpoint every 25 pairs, no crash,
     /// full snapshots.
     fn default() -> DurableOpts {
         DurableOpts {
@@ -806,6 +806,12 @@ pub fn run_durable_campaign(
         }
     }
 
+    // Resume skips: the recovered prefix this process will not re-crawl,
+    // counted once per incarnation (each chunk below resumes from the
+    // previous one's cursor, which is not a resume). Counted before the
+    // rebases so no sample or watch window ever carries it.
+    consent_telemetry::count("campaign.pairs_skipped", state.pairs_done);
+
     // Rebase the flight recorder only after recovery and trace import:
     // both re-count work this process never performed (checkpoint
     // import inserts into the CaptureDb, the store counts
@@ -1126,7 +1132,8 @@ pub fn run_durable_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{build_toplist, run_campaign_with};
+    use crate::campaign::build_toplist;
+    use crate::parallel::run_campaign_parallel;
     use crate::resilience::{BreakerConfig, RetryPolicy};
     use consent_faultsim::FaultProfile;
     use consent_webgraph::{AdoptionConfig, WorldConfig};
@@ -1157,13 +1164,17 @@ mod tests {
             adoption: AdoptionConfig::default(),
         });
         let list = build_toplist(&world, 6, SeedTree::new(7));
-        run_campaign_with(
+        run_campaign_parallel(
             &world,
             &list,
             consent_util::Day::from_ymd(2020, 5, 15),
             &[Vantage::eu_cloud()],
             SeedTree::new(9),
-            &quiet(),
+            &ParallelOpts {
+                threads: 1,
+                config: quiet(),
+                max_pairs: None,
+            },
         )
         .state
     }

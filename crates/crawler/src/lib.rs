@@ -10,12 +10,12 @@
 //! ([`resilience`]), dead-letter records for abandoned pairs
 //! ([`dead_letter`]), per-pair provenance records and causal traces
 //! (`consent_trace`), and checkpoint/resume via
-//! [`campaign::CampaignState`]. Campaigns scale across cores with the
-//! deterministic [`parallel`] executor, whose output is byte-identical
-//! to the sequential runner at any thread count, and persist across
-//! process deaths with the [`durable`] driver, which checkpoints into a
-//! crash-safe [`consent_checkpoint::CheckpointStore`] and salvages
-//! corrupt checkpoints on recovery. When the *disk itself* fails, the
+//! [`campaign::CampaignState`]. Campaigns run on the deterministic
+//! [`parallel`] executor, whose output is byte-identical at any thread
+//! count, and persist across process deaths with the [`durable`]
+//! driver, which checkpoints into a crash-safe
+//! [`consent_checkpoint::CheckpointStore`] and salvages corrupt
+//! checkpoints on recovery. When the *disk itself* fails, the
 //! [`supervisor`] self-heals: transient storage faults are retried out
 //! of a budget and persistent ones descend a degradation ladder
 //! (shed trace → widen cadence → memory-only), so campaigns always end
@@ -42,8 +42,7 @@ pub use archive::{
     CampaignArtifacts, ExportFn, ReplayReport, CONFIG_HEADER,
 };
 pub use campaign::{
-    build_toplist, resume_campaign, run_campaign, run_campaign_with, CampaignCapture,
-    CampaignConfig, CampaignResult, CampaignRun, CampaignState,
+    build_toplist, CampaignCapture, CampaignConfig, CampaignResult, CampaignRun, CampaignState,
 };
 pub use capture_db::{
     shard_of, CaptureDb, CaptureSummary, CmpSet, DbMarks, SEGMENT_ROWS, SHARD_COUNT,

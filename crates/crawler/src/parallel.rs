@@ -1,18 +1,17 @@
-//! The parallel campaign executor.
+//! The campaign executor.
 //!
 //! The paper's scale (Tranco-10k × six vantages × a week of retries,
-//! ~161 M crawls over the study) makes the sequential triple loop in
-//! [`resume_campaign`] the throughput ceiling of the whole pipeline.
-//! This module shards the `(domain, vantage)` pair stream across a
-//! `std::thread` worker pool and merges the per-worker shards back into
-//! one [`CampaignState`] whose export is **byte-identical** to the
-//! sequential run at any thread count.
+//! ~161 M crawls over the study) makes the pair loop the throughput
+//! ceiling of the whole pipeline. This module is that loop: it shards
+//! the `(domain, vantage)` pair stream across a `std::thread` worker
+//! pool — the calling thread is worker 0, and `threads − 1` helpers join
+//! it — and merges the per-worker shards back into one [`CampaignState`]
+//! whose export is **byte-identical** at any thread count.
 //!
 //! # Why the merge can be deterministic
 //!
-//! Each pair is crawled by `process_pair_contained` (the same
-//! panic-containing wrapper the sequential loop calls), whose underlying
-//! `process_pair` is a pure function of
+//! Each pair is crawled by `process_pair_contained` (the
+//! panic-containing wrapper around `process_pair`), a pure function of
 //! the pair identity: every random draw inside the engine and the fault
 //! plan is keyed by `(host, day, vantage, attempt)`, trace ids come from
 //! [`consent_trace::stable_id`], and the per-pair
@@ -28,14 +27,13 @@
 //! provenance, dead letters, result columns — is order-sensitive, so it
 //! never happens on a worker. Workers push `(pair_index, PairOutput)`
 //! into private shards; after the pool joins, the shards are flattened,
-//! sorted by pair index (the same vantage-major, rank-minor order the
-//! sequential loop walks), and applied on the calling thread. Because
-//! application is single-threaded and the capture store is append-only
-//! (columnar segments that seal at fixed capacity, never at cut
-//! boundaries — see `docs/STORAGE.md`), the store's physical layout is
-//! a pure function of the insert history: host interning order, segment
-//! boundaries, and per-shard row order are identical at any thread
-//! count. A checkpoint cut anywhere — including a kill halfway through
+//! sorted by pair index (vantage-major, rank-minor), and applied on the
+//! calling thread. Because application is single-threaded and the
+//! capture store is append-only (columnar segments that seal at fixed
+//! capacity, never at cut boundaries — see `docs/STORAGE.md`), the
+//! store's physical layout is a pure function of the insert history:
+//! host interning order, segment boundaries, and per-shard row order
+//! are identical at any thread count. A checkpoint cut anywhere — including a kill halfway through
 //! a budgeted run — resumes to the same bytes because the first
 //! `pairs_done` pairs of the order are exactly the ones already
 //! applied, and that same property is what lets delta checkpoints
@@ -43,8 +41,8 @@
 //! ranges ([`CaptureDb::marks`](crate::CaptureDb::marks)).
 
 use crate::campaign::{
-    apply_pair, process_pair_contained, resume_campaign, CampaignCapture, CampaignConfig,
-    CampaignResult, CampaignRun, CampaignState, PairOutput,
+    apply_pair, process_pair_contained, CampaignCapture, CampaignConfig, CampaignResult,
+    CampaignRun, CampaignState, PairOutput,
 };
 use consent_faultsim::FaultyEngine;
 use consent_fingerprint::Detector;
@@ -56,11 +54,12 @@ use consent_webgraph::World;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 
-/// How a parallel campaign shards its work.
+/// How a campaign shards its work.
 #[derive(Clone, Debug)]
 pub struct ParallelOpts {
-    /// Worker threads. `0` and `1` both run the sequential code path
-    /// ([`resume_campaign`]) unchanged.
+    /// Worker threads, the calling thread included: `threads − 1`
+    /// helpers are spawned, none at `0` or `1`. The exports do not
+    /// depend on it.
     pub threads: usize,
     /// Campaign behavior: chaos profile, retry schedule, breaker.
     pub config: CampaignConfig,
@@ -81,25 +80,13 @@ impl Default for ParallelOpts {
     }
 }
 
-impl ParallelOpts {
-    /// Options with an explicit worker count and defaults elsewhere.
-    pub fn with_threads(threads: usize) -> ParallelOpts {
-        ParallelOpts {
-            threads,
-            ..ParallelOpts::default()
-        }
-    }
-}
-
-/// Run a full campaign across a worker pool.
+/// Run a full campaign on `day` for the given vantage columns.
 ///
-/// Semantically identical to
-/// [`run_campaign_with`](crate::run_campaign_with) — same captures, same
-/// checkpoint bytes, same trace export — only faster on multicore
-/// hardware. `opts.threads <= 1` *is* the sequential runner.
+/// Same captures, same checkpoint bytes, same trace export at any
+/// `opts.threads` — more threads are only faster on multicore hardware.
 ///
 /// ```
-/// use consent_crawler::{build_toplist, run_campaign_parallel, run_campaign_with};
+/// use consent_crawler::{build_toplist, run_campaign_parallel};
 /// use consent_crawler::{CampaignConfig, ParallelOpts, RetryPolicy, BreakerConfig};
 /// use consent_faultsim::FaultProfile;
 /// use consent_httpsim::Vantage;
@@ -118,17 +105,14 @@ impl ParallelOpts {
 ///     retry: RetryPolicy::paper(),
 ///     breaker: BreakerConfig::default(),
 /// };
-/// let opts = ParallelOpts { threads: 2, config, max_pairs: None };
-///
-/// let parallel = run_campaign_parallel(
-///     &world, &list, day, &[Vantage::eu_cloud()], SeedTree::new(9), &opts,
-/// );
-/// let sequential = run_campaign_with(
-///     &world, &list, day, &[Vantage::eu_cloud()], SeedTree::new(9), &config,
-/// );
+/// let run = |threads| {
+///     let opts = ParallelOpts { threads, config, max_pairs: None };
+///     run_campaign_parallel(&world, &list, day, &[Vantage::eu_cloud()], SeedTree::new(9), &opts)
+/// };
+/// let (two, one) = (run(2), run(1));
 /// // Byte-identical checkpoints at any thread count.
-/// assert_eq!(parallel.state.export(), sequential.state.export());
-/// assert!(parallel.complete);
+/// assert_eq!(two.state.export(), one.state.export());
+/// assert!(two.complete);
 /// ```
 pub fn run_campaign_parallel(
     world: &World,
@@ -149,15 +133,17 @@ pub fn run_campaign_parallel(
     )
 }
 
-/// Run (or continue) a campaign from a checkpoint across a worker pool.
+/// Run (or continue) a campaign from a checkpoint.
 ///
-/// The counterpart of [`resume_campaign`]: the first `state.pairs_done`
-/// pairs of the deterministic vantage-major order are skipped without
-/// re-crawling, and at most `opts.max_pairs` further pairs are processed.
-/// Because application order is restored before any state is touched, a
-/// parallel run interrupted anywhere — even mid-merge, where the
-/// checkpoint on disk still holds the previous cut — resumes to the
-/// same bytes as an uninterrupted sequential run.
+/// Pairs are processed in a deterministic vantage-major, rank-minor
+/// order; the first `state.pairs_done` pairs are skipped without
+/// re-crawling, and at most `opts.max_pairs` further pairs are processed
+/// (`None` runs to completion). Because every random draw is keyed by
+/// `(host, day, vantage, attempt)` rather than by call order, and
+/// application order is restored before any state is touched, a run
+/// interrupted anywhere — even mid-merge, where the checkpoint on disk
+/// still holds the previous cut — resumes, at any thread count, to the
+/// same bytes as an uninterrupted run.
 pub fn resume_campaign_parallel(
     world: &World,
     domains: &[String],
@@ -167,23 +153,11 @@ pub fn resume_campaign_parallel(
     opts: &ParallelOpts,
     mut state: CampaignState,
 ) -> CampaignRun {
-    if opts.threads <= 1 {
-        return resume_campaign(
-            world,
-            domains,
-            day,
-            vantages,
-            seed,
-            &opts.config,
-            state,
-            opts.max_pairs,
-        );
-    }
     let _span = consent_telemetry::span("campaign.run");
     let engine = FaultyEngine::from_world(world, opts.config.fault_profile, seed);
     let prober = WorldProber::new(world, seed.child("prober"));
-    // Same three resolution rounds as the sequential runner (§3.2);
-    // resolution is a pure function of the seed.
+    // Three resolution rounds over a week (§3.2). Resolution is a pure
+    // function of the seed, so a resumed run re-derives identical URLs.
     let attempt_days = [day - 7, day - 4, day - 1];
     let seeds = resolve_all(domains.iter().cloned(), &prober, &attempt_days);
     let schedule = opts.config.retry.schedule(day);
@@ -195,8 +169,8 @@ pub fn resume_campaign_parallel(
     let end = start
         .saturating_add(opts.max_pairs.unwrap_or(u64::MAX))
         .min(total_pairs);
-    consent_telemetry::count("campaign.pairs_skipped", start);
-    consent_telemetry::gauge_set("campaign.parallel.workers", opts.threads as i64);
+    let threads = opts.threads.max(1);
+    consent_telemetry::gauge_set("campaign.parallel.workers", threads as i64);
 
     // Work distribution: a shared cursor over the pair order. Claiming
     // one index per fetch keeps the pool balanced when per-pair cost
@@ -206,55 +180,56 @@ pub fn resume_campaign_parallel(
     // of nanoseconds even when contended, stays well under 1% of it.
     let next = AtomicU64::new(start);
     let n_seeds = seeds.len() as u64;
+    let work = || {
+        let mut shard: Vec<(u64, PairOutput)> = Vec::new();
+        loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            if idx >= end {
+                break;
+            }
+            // Live-plane gauges (scraped by consent-obs): the claimed
+            // cursor position and how many pairs are being crawled right
+            // now. Both race across workers by design — they are health
+            // signals, not accounting — and the whole
+            // `campaign.parallel.*` family is denied from deterministic
+            // samples.
+            consent_telemetry::gauge_set("campaign.parallel.cursor", idx as i64);
+            consent_telemetry::gauge_add("campaign.parallel.in_flight", 1);
+            let col = (idx / n_seeds) as usize;
+            let i = (idx % n_seeds) as usize;
+            let out = process_pair_contained(
+                &engine,
+                &seeds[i],
+                i + 1,
+                col,
+                vantages[col],
+                day,
+                &schedule,
+                &opts.config,
+                &detector,
+            );
+            consent_telemetry::gauge_add("campaign.parallel.in_flight", -1);
+            shard.push((idx, out));
+        }
+        consent_telemetry::observe("campaign.parallel.shard_pairs", shard.len() as u64);
+        shard
+    };
+    // The caller is worker 0: it drains the cursor alongside its
+    // helpers, then joins them.
     let shards: Vec<Vec<(u64, PairOutput)>> = thread::scope(|sc| {
-        let handles: Vec<_> = (0..opts.threads)
-            .map(|_| {
-                sc.spawn(|| {
-                    let mut shard: Vec<(u64, PairOutput)> = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= end {
-                            break;
-                        }
-                        // Live-plane gauges (scraped by consent-obs):
-                        // the claimed cursor position and how many pairs
-                        // are being crawled right now. Both race across
-                        // workers by design — they are health signals,
-                        // not accounting — and the whole
-                        // `campaign.parallel.*` family is denied from
-                        // deterministic samples.
-                        consent_telemetry::gauge_set("campaign.parallel.cursor", idx as i64);
-                        consent_telemetry::gauge_add("campaign.parallel.in_flight", 1);
-                        let col = (idx / n_seeds) as usize;
-                        let i = (idx % n_seeds) as usize;
-                        let out = process_pair_contained(
-                            &engine,
-                            &seeds[i],
-                            i + 1,
-                            col,
-                            vantages[col],
-                            day,
-                            &schedule,
-                            &opts.config,
-                            &detector,
-                        );
-                        consent_telemetry::gauge_add("campaign.parallel.in_flight", -1);
-                        shard.push((idx, out));
-                    }
-                    consent_telemetry::observe("campaign.parallel.shard_pairs", shard.len() as u64);
-                    shard
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("campaign worker panicked"))
-            .collect()
+        let helpers: Vec<_> = (1..threads).map(|_| sc.spawn(work)).collect();
+        let mut shards = vec![work()];
+        shards.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().expect("campaign worker panicked")),
+        );
+        shards
     });
 
     // Order-restoring merge: pair indices are unique, so the sort is
     // deterministic no matter how the pool interleaved, and applying in
-    // ascending order reproduces the sequential insertion order exactly.
+    // ascending order reproduces the pair order exactly.
     let mut outputs: Vec<(u64, PairOutput)> = shards.into_iter().flatten().collect();
     outputs.sort_unstable_by_key(|&(idx, _)| idx);
     let mut columns: Vec<(Vantage, Vec<CampaignCapture>)> =
@@ -275,7 +250,7 @@ pub fn resume_campaign_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{build_toplist, run_campaign_with};
+    use crate::campaign::build_toplist;
     use crate::resilience::{BreakerConfig, RetryPolicy};
     use consent_faultsim::FaultProfile;
     use consent_webgraph::{AdoptionConfig, WorldConfig};
@@ -300,30 +275,56 @@ mod tests {
         }
     }
 
+    /// `a` and `b` agree on the checkpoint bytes and every result column.
+    fn assert_same_run(a: &CampaignRun, b: &CampaignRun, what: &str) {
+        assert_eq!(a.state.export(), b.state.export(), "{what}");
+        assert_eq!(a.result.columns.len(), b.result.columns.len(), "{what}");
+        for ((va, ca), (vb, cb)) in a.result.columns.iter().zip(b.result.columns.iter()) {
+            assert_eq!(va, vb, "{what}");
+            assert_eq!(ca.len(), cb.len(), "{what}");
+            for (x, y) in ca.iter().zip(cb.iter()) {
+                assert_eq!(x.capture, y.capture, "{what}");
+                assert_eq!(x.attempts, y.attempts, "{what}");
+                assert_eq!(x.outcome, y.outcome, "{what}");
+            }
+        }
+    }
+
     #[test]
-    fn zero_and_one_thread_take_the_sequential_path() {
+    fn every_thread_count_and_resume_split_gives_the_same_bytes() {
         let w = world();
         let list = build_toplist(&w, 30, SeedTree::new(7));
         let day = Day::from_ymd(2020, 5, 15);
-        let seq = run_campaign_with(
-            &w,
-            &list,
-            day,
-            &[Vantage::us_cloud()],
-            SeedTree::new(9),
-            &opts(1, FaultProfile::none()).config,
-        );
-        for threads in [0, 1] {
-            let run = run_campaign_parallel(
-                &w,
-                &list,
-                day,
-                &[Vantage::us_cloud()],
-                SeedTree::new(9),
-                &opts(threads, FaultProfile::none()),
+        let vantages = [Vantage::us_cloud(), Vantage::eu_cloud()];
+        let run = |o: &ParallelOpts, state: CampaignState| {
+            resume_campaign_parallel(&w, &list, day, &vantages, SeedTree::new(9), o, state)
+        };
+        let one = run(&opts(1, FaultProfile::mild()), CampaignState::new());
+        assert!(one.complete);
+        for threads in [0, 1, 2, 3] {
+            let all = run(&opts(threads, FaultProfile::mild()), CampaignState::new());
+            assert!(all.complete);
+            assert_same_run(&all, &one, &format!("{threads} threads"));
+        }
+        // Cut a budgeted run at one thread count and resume it at another.
+        for (cut_at, resume_at) in [(1, 2), (3, 1)] {
+            let mut o = opts(cut_at, FaultProfile::mild());
+            o.max_pairs = Some(25);
+            let first = run(&o, CampaignState::new());
+            assert!(!first.complete);
+            assert_eq!(first.state.pairs_done, 25);
+            let restored = CampaignState::import(&first.state.export()).unwrap();
+            let second = run(&opts(resume_at, FaultProfile::mild()), restored);
+            assert!(second.complete);
+            let whole = CampaignRun {
+                result: first.result.merge(second.result),
+                ..second
+            };
+            assert_same_run(
+                &whole,
+                &one,
+                &format!("cut at {cut_at}, resumed at {resume_at}"),
             );
-            assert!(run.complete);
-            assert_eq!(run.state.export(), seq.state.export());
         }
     }
 
@@ -333,13 +334,13 @@ mod tests {
         let list = build_toplist(&w, 40, SeedTree::new(7));
         let day = Day::from_ymd(2020, 5, 15);
         let vantages = [Vantage::eu_cloud(), Vantage::us_cloud()];
-        let seq = run_campaign_with(
+        let seq = run_campaign_parallel(
             &w,
             &list,
             day,
             &vantages,
             SeedTree::new(9),
-            &opts(1, FaultProfile::mild()).config,
+            &opts(1, FaultProfile::mild()),
         );
         for threads in [2, 3, 8] {
             let par = run_campaign_parallel(
@@ -351,20 +352,7 @@ mod tests {
                 &opts(threads, FaultProfile::mild()),
             );
             assert!(par.complete);
-            assert_eq!(
-                par.state.export(),
-                seq.state.export(),
-                "divergence at {threads} threads"
-            );
-            for ((va, ca), (vb, cb)) in par.result.columns.iter().zip(seq.result.columns.iter()) {
-                assert_eq!(va, vb);
-                assert_eq!(ca.len(), cb.len());
-                for (x, y) in ca.iter().zip(cb.iter()) {
-                    assert_eq!(x.capture, y.capture);
-                    assert_eq!(x.attempts, y.attempts);
-                    assert_eq!(x.outcome, y.outcome);
-                }
-            }
+            assert_same_run(&par, &seq, &format!("divergence at {threads} threads"));
         }
     }
 
@@ -380,12 +368,13 @@ mod tests {
         assert!(!first.complete);
         assert_eq!(first.state.pairs_done, 25);
         assert_eq!(first.state.db.len(), 25);
-        // Resume the remainder in parallel and land on the sequential bytes.
+        // Resume the remainder in parallel and land on the 1-thread bytes.
         o.max_pairs = None;
         let second =
             resume_campaign_parallel(&w, &list, day, &vantages, SeedTree::new(9), &o, first.state);
         assert!(second.complete);
-        let seq = run_campaign_with(&w, &list, day, &vantages, SeedTree::new(9), &o.config);
+        o.threads = 1;
+        let seq = run_campaign_parallel(&w, &list, day, &vantages, SeedTree::new(9), &o);
         assert_eq!(second.state.export(), seq.state.export());
     }
 }

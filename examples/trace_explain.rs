@@ -14,7 +14,9 @@
 //! `trace_explain.chrome.json` (override with `TRACE_EXPLAIN_OUT`).
 
 use consent_core::{experiments, Study};
-use consent_crawler::{build_toplist, run_campaign_with, CampaignConfig, CampaignRun, RetryPolicy};
+use consent_crawler::{
+    build_toplist, run_campaign_parallel, CampaignConfig, CampaignRun, ParallelOpts, RetryPolicy,
+};
 use consent_faultsim::FaultProfile;
 use consent_httpsim::Vantage;
 use consent_trace::{Provenance, TraceTree};
@@ -38,19 +40,22 @@ fn main() {
     // run_traced hands back the byte-stable JSONL alongside the run.
     let toplist = build_toplist(study.world(), 40, study.seed().child("trace-top"));
     let vantages = [Vantage::eu_cloud(), Vantage::us_cloud()];
-    let config = CampaignConfig {
-        fault_profile: profile,
-        retry: RetryPolicy::paper(),
-        ..CampaignConfig::default()
+    let opts = ParallelOpts {
+        config: CampaignConfig {
+            fault_profile: profile,
+            retry: RetryPolicy::paper(),
+            ..CampaignConfig::default()
+        },
+        ..ParallelOpts::default()
     };
     let (run, jsonl): (CampaignRun, String) = experiments::run_traced(|| {
-        run_campaign_with(
+        run_campaign_parallel(
             study.world(),
             &toplist,
             Day::from_ymd(2020, 5, 15),
             &vantages,
             study.seed().child("trace-campaign"),
-            &config,
+            &opts,
         )
     });
     let log = consent_trace::global();

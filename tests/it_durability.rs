@@ -10,7 +10,7 @@
 //! Four pinned guarantees:
 //!
 //! * crash-after-apply at *every* pair index resumes byte-identical
-//!   (both executors, with and without mild chaos);
+//!   (at 1 and 4 threads, with and without mild chaos);
 //! * a torn checkpoint write at every write index × several byte cuts
 //!   falls back to an older generation (or scratch) and still resumes
 //!   byte-identical;
@@ -529,6 +529,54 @@ fn corrupt_meta_on_newest_generation_salvages_not_refalls() {
     );
     assert!(resumed.state.export() == state_bytes);
     assert!(consent_trace::global().export_jsonl() == trace_bytes);
+    std::fs::remove_dir_all(dir).unwrap();
+    unlock(guard);
+}
+
+#[test]
+fn resume_skips_count_the_recovered_prefix_once() {
+    let guard = lock();
+    let skipped = || {
+        consent_telemetry::global()
+            .snapshot()
+            .counter("campaign.pairs_skipped")
+    };
+    let fresh_run = |store: &CheckpointStore, crash: CrashPlan| {
+        consent_telemetry::reset();
+        consent_telemetry::enable();
+        durable(store, 2, FaultProfile::none(), crash)
+    };
+
+    // A run that was never resumed skips nothing, however many
+    // checkpoint chunks it takes (16 pairs at 5 per chunk).
+    let dir = tmp_dir();
+    let store = open_store(&dir);
+    let fresh = fresh_run(&store, CrashPlan::none());
+    assert!(fresh.outcome.finished(), "{:?}", fresh.outcome);
+    assert_eq!(skipped(), 0, "a fresh chunked run counted resume skips");
+    std::fs::remove_dir_all(dir).unwrap();
+
+    // Kill halfway: the resumed incarnation skips exactly the durable
+    // prefix it recovered.
+    let dir = tmp_dir();
+    let store = open_store(&dir);
+    let crashed = fresh_run(&store, CrashPlan::after_apply(8));
+    let durable_pairs = match crashed.outcome {
+        DurableOutcome::Crashed { durable_pairs, .. } => durable_pairs,
+        other => panic!("crashpoint apply:8 never fired: {other:?}"),
+    };
+    assert_eq!(skipped(), 0, "the crashed incarnation started fresh");
+    die();
+    let resumed = fresh_run(&store, CrashPlan::none());
+    assert!(resumed.outcome.finished(), "{:?}", resumed.outcome);
+    // Storage chaos may cost the resume some of the durable prefix.
+    if io_chaos() {
+        assert!(skipped() <= durable_pairs);
+    } else {
+        assert_eq!(durable_pairs, 5);
+        assert_eq!(skipped(), durable_pairs);
+    }
+    consent_telemetry::disable();
     std::fs::remove_dir_all(dir).unwrap();
     unlock(guard);
 }

@@ -3,9 +3,9 @@
 //! The worker-pool executor (`run_campaign_parallel`) promises that
 //! parallelism is *invisible* in every artifact the pipeline persists:
 //! checkpoint exports, per-pair captures, dead letters, and the causal
-//! trace JSONL are byte-identical to the sequential runner at any
-//! thread count — with and without chaos, and across a kill-halfway
-//! checkpoint/resume cycle. This binary pins those promises.
+//! trace JSONL are byte-identical to a 1-thread run at any thread count
+//! — with and without chaos, and across a kill-halfway checkpoint/resume
+//! cycle. This binary pins those promises.
 //!
 //! Campaigns write into the process-global `consent_trace` log whenever
 //! it is enabled, and cargo runs one binary's test fns concurrently, so
@@ -14,8 +14,8 @@
 //! mirroring `it_trace`.
 
 use consent_crawler::{
-    build_toplist, resume_campaign_parallel, run_campaign_parallel, run_campaign_with,
-    BreakerConfig, CampaignConfig, CampaignRun, CampaignState, ParallelOpts, RetryPolicy,
+    build_toplist, resume_campaign_parallel, run_campaign_parallel, BreakerConfig, CampaignConfig,
+    CampaignRun, CampaignState, ParallelOpts, RetryPolicy,
 };
 use consent_faultsim::FaultProfile;
 use consent_httpsim::Vantage;
@@ -75,15 +75,9 @@ fn vantages() -> [Vantage; 2] {
     [Vantage::eu_cloud(), Vantage::us_cloud()]
 }
 
+/// The reference every other thread count must reproduce.
 fn sequential(profile: FaultProfile) -> CampaignRun {
-    run_campaign_with(
-        world(),
-        toplist(),
-        DAY(),
-        &vantages(),
-        SeedTree::new(9),
-        &config(profile),
-    )
+    parallel(profile, 1)
 }
 
 fn parallel(profile: FaultProfile, threads: usize) -> CampaignRun {

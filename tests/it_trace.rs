@@ -15,8 +15,8 @@
 //! track per vantage.
 
 use consent_crawler::{
-    build_toplist, resume_campaign, run_campaign_with, vantage_code, BreakerConfig, CampaignConfig,
-    CampaignRun, CampaignState, RetryPolicy,
+    build_toplist, resume_campaign_parallel, run_campaign_parallel, vantage_code, BreakerConfig,
+    CampaignConfig, CampaignRun, CampaignState, ParallelOpts, RetryPolicy,
 };
 use consent_faultsim::FaultProfile;
 use consent_httpsim::Vantage;
@@ -59,11 +59,16 @@ fn toplist() -> &'static [String] {
     LIST.get_or_init(|| build_toplist(world(), 120, SeedTree::new(7)))
 }
 
-fn config(profile: FaultProfile) -> CampaignConfig {
-    CampaignConfig {
-        fault_profile: profile,
-        retry: RetryPolicy::paper(),
-        breaker: BreakerConfig::default(),
+/// One worker, no pair budget.
+fn opts(profile: FaultProfile) -> ParallelOpts {
+    ParallelOpts {
+        threads: 1,
+        config: CampaignConfig {
+            fault_profile: profile,
+            retry: RetryPolicy::paper(),
+            breaker: BreakerConfig::default(),
+        },
+        max_pairs: None,
     }
 }
 
@@ -75,13 +80,13 @@ fn campaign(
     seed: u64,
     profile: FaultProfile,
 ) -> CampaignRun {
-    run_campaign_with(
+    run_campaign_parallel(
         world(),
         domains,
         DAY(),
         vantages,
         SeedTree::new(seed),
-        &config(profile),
+        &opts(profile),
     )
 }
 
@@ -151,28 +156,28 @@ fn chaos_replay_and_resume_are_byte_identical() {
     // uninterrupted run's, because ids and seqs are per-pair.
     consent_trace::clear();
     let half = (vantages.len() * list.len()) as u64 / 2;
-    let first = resume_campaign(
+    let first = run_campaign_parallel(
         world(),
         list,
         DAY(),
         &vantages,
         SeedTree::new(9),
-        &config(FaultProfile::heavy()),
-        CampaignState::new(),
-        Some(half),
+        &ParallelOpts {
+            max_pairs: Some(half),
+            ..opts(FaultProfile::heavy())
+        },
     );
     assert!(!first.complete);
     let restored = CampaignState::import(&first.state.export()).expect("checkpoint parses");
     assert_eq!(restored.provenance.len() as u64, half);
-    let second = resume_campaign(
+    let second = resume_campaign_parallel(
         world(),
         list,
         DAY(),
         &vantages,
         SeedTree::new(9),
-        &config(FaultProfile::heavy()),
+        &opts(FaultProfile::heavy()),
         restored,
-        None,
     );
     assert!(second.complete);
     assert_eq!(consent_trace::global().export_jsonl(), jsonl);
